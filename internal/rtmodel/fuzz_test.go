@@ -2,6 +2,7 @@ package rtmodel
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -110,5 +111,30 @@ func FuzzRTModelRoundTrip(f *testing.F) {
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatalf("encoding is not byte-stable: %d vs %d bytes", first.Len(), second.Len())
 		}
+	})
+}
+
+// FuzzExportJSON is the differential oracle for the JSON export: any
+// model Load accepts must render byte-identical through AppendJSON,
+// WriteJSON and the encoding/json reference, or — for a non-finite
+// value or child links that do not expand to a tree — fail in all of
+// them with nothing written.
+func FuzzExportJSON(f *testing.F) {
+	for _, m := range []*Model{
+		Build(sample()), {}, hostileModel(),
+		nonFinite(math.NaN()), nonFinite(math.Inf(1)), nonFinite(math.Inf(-1)),
+	} {
+		var seed bytes.Buffer
+		if err := m.Save(&seed); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		checkExportMatches(t, m)
 	})
 }

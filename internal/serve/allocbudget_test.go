@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -28,6 +29,10 @@ type allocBudget struct {
 	// ServeSummaryBin bounds a whole binary /summary request — the
 	// pre-serialized path, so it is the floor the stack imposes.
 	ServeSummaryBin float64 `json:"serve_summary_bin"`
+	// ExportRender bounds rendering the XScluster /json export (19.5 MB)
+	// into its buffer presized from the previous generation, as a
+	// publish does: buffer, renderer and binary header, nothing per node.
+	ExportRender float64 `json:"export_render"`
 }
 
 func readAllocBudget(t *testing.T) allocBudget {
@@ -95,5 +100,63 @@ func TestBinarySelectAllocBudget(t *testing.T) {
 	sum()
 	if got := testing.AllocsPerRun(200, sum); got > budget.ServeSummaryBin {
 		t.Errorf("binary summary request: %.1f allocs/op, budget %.0f", got, budget.ServeSummaryBin)
+	}
+}
+
+// TestExportRenderAllocBudget gates the publish-time export render of
+// the largest zoo model against the checked-in budget.
+func TestExportRenderAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	budget := readAllocBudget(t)
+	_, store := newModelServer(t, Config{})
+	snap, err := store.Get(context.Background(), "XScluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.pre.export.body) == 0 {
+		t.Fatal("XScluster was published without an export")
+	}
+	got := testing.AllocsPerRun(3, func() {
+		if len(renderExport(snap, snap).body) == 0 {
+			t.Fatal("empty export")
+		}
+	})
+	t.Logf("XScluster export render: %.0f allocs/op", got)
+	if got > budget.ExportRender {
+		t.Errorf("XScluster export render: %.1f allocs/op, budget %.0f", got, budget.ExportRender)
+	}
+}
+
+// TestRawAnswersShareBody checks that a prepared snapshot holds its
+// byte-stream answers once: the binary tree and export keep only an
+// envelope header, and header plus body is the complete envelope.
+func TestRawAnswersShareBody(t *testing.T) {
+	_, store := newModelServer(t, Config{})
+	snap, err := store.Get(context.Background(), "liu_gpu_server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		pe    *preEncoded
+		frame rtmodel.FrameType
+	}{
+		"tree":   {&snap.pre.tree, frameRawTree},
+		"export": {&snap.pre.export, frameRawJSON},
+	} {
+		pe := c.pe
+		if !pe.raw || len(pe.bin) > rtmodel.MaxFrameHeader || len(pe.body) == 0 {
+			t.Fatalf("%s: raw %v, %d-byte binary form over a %d-byte body", name, pe.raw, len(pe.bin), len(pe.body))
+		}
+		ft, payload, rest, err := rtmodel.DecodeEnvelope(append(append([]byte(nil), pe.bin...), pe.body...))
+		if err != nil || ft != c.frame || len(rest) != 0 || !bytes.Equal(payload, pe.body) {
+			t.Fatalf("%s: header + body decodes to frame %d, %d-byte payload, %d trailing, err %v",
+				name, ft, len(payload), len(rest), err)
+		}
+	}
+	// The summary stays a complete envelope of its own.
+	if snap.pre.summary.raw {
+		t.Fatal("summary marked raw")
 	}
 }

@@ -14,7 +14,9 @@ import (
 // lookups) are rendered to their final wire bytes once — eagerly at
 // publish for the fixed trio, lazily-once per element — and every
 // later request writes those bytes straight to the socket, in either
-// protocol, with no per-request marshaling.
+// protocol, with no per-request marshaling. The byte-stream answers
+// (tree, JSON export) are held once: their binary form is an envelope
+// header written in front of the same body bytes.
 
 // Binary-protocol metrics in the process-wide registry.
 var (
@@ -30,10 +32,43 @@ var (
 
 // preEncoded is one response rendered to final bytes in both
 // protocols: body is the classic answer (indented JSON or plain text),
-// bin is a complete binary envelope.
+// bin is a complete binary envelope — or, when raw is set, only the
+// envelope header of a raw frame whose payload is body itself.
 type preEncoded struct {
 	body []byte
 	bin  []byte
+	raw  bool
+}
+
+// rawPre pre-encodes a byte-stream answer, sharing body between the
+// two protocols.
+func rawPre(t rtmodel.FrameType, body []byte) preEncoded {
+	var hdr [rtmodel.MaxFrameHeader]byte
+	n := rtmodel.PutWireHeader(hdr[:])
+	n += rtmodel.PutFrameHeader(hdr[n:], t, len(body))
+	return preEncoded{body: body, bin: append([]byte(nil), hdr[:n]...), raw: true}
+}
+
+// exportBytesPerNode presizes a cold export render: the zoo's system
+// models export 313–442 bytes per runtime node (XScluster 442).
+const exportBytesPerNode = 448
+
+// renderExport renders the JSON export of snap into one buffer,
+// presized from old's export — the previous generation of the same
+// model, when there is one — or from the node count. A model that
+// cannot be exported gets an empty body.
+func renderExport(snap, old *Snapshot) preEncoded {
+	m := snap.Session.Model()
+	size := m.Len() * exportBytesPerNode
+	if old != nil && old.pre != nil && len(old.pre.export.body) > 0 {
+		prev := len(old.pre.export.body)
+		size = prev + prev/64 // room for the edited values to grow
+	}
+	body, err := m.AppendJSON(make([]byte, 0, size))
+	if err != nil {
+		body = nil
+	}
+	return rawPre(frameRawJSON, body)
 }
 
 // preResponses is the pre-serialized set of one snapshot. The fixed
@@ -51,8 +86,9 @@ type preResponses struct {
 // prepare readies a snapshot for publishing: selector indexes plus the
 // pre-serialized hot responses. The store calls it before the pointer
 // swap, so no request — not even the first after a hot swap — pays an
-// index build or a summary/tree/export render.
-func prepare(snap *Snapshot) {
+// index build or a summary/tree/export render. old is the snapshot
+// being replaced, or nil; it only presizes the export render.
+func prepare(snap, old *Snapshot) {
 	if snap.Session == nil {
 		return
 	}
@@ -65,10 +101,8 @@ func prepare(snap *Snapshot) {
 	p.summary = preEncoded{body: marshalIndented(sum), bin: encodeBin(&sum)}
 	var tb bytes.Buffer
 	_ = WriteTree(&tb, snap.Session.Root())
-	p.tree = preEncoded{body: tb.Bytes(), bin: rawEnvelope(frameRawTree, tb.Bytes())}
-	var jb bytes.Buffer
-	_ = snap.Session.Model().WriteJSON(&jb)
-	p.export = preEncoded{body: jb.Bytes(), bin: rawEnvelope(frameRawJSON, jb.Bytes())}
+	p.tree = rawPre(frameRawTree, tb.Bytes())
+	p.export = renderExport(snap, old)
 	snap.pre = p
 }
 
@@ -84,7 +118,7 @@ func preparePatched(snap, old *Snapshot) {
 		return
 	}
 	if old == nil || old.Session == nil || !snap.Session.AdoptIndexes(old.Session) {
-		prepare(snap)
+		prepare(snap, old)
 		return
 	}
 	if snap.pre != nil {
@@ -99,11 +133,9 @@ func preparePatched(snap, old *Snapshot) {
 	} else {
 		var tb bytes.Buffer
 		_ = WriteTree(&tb, snap.Session.Root())
-		p.tree = preEncoded{body: tb.Bytes(), bin: rawEnvelope(frameRawTree, tb.Bytes())}
+		p.tree = rawPre(frameRawTree, tb.Bytes())
 	}
-	var jb bytes.Buffer
-	_ = snap.Session.Model().WriteJSON(&jb)
-	p.export = preEncoded{body: jb.Bytes(), bin: rawEnvelope(frameRawJSON, jb.Bytes())}
+	p.export = renderExport(snap, old)
 	if old.pre != nil {
 		nm, om := snap.Session.Model(), old.Session.Model()
 		old.pre.elems.Range(func(k, v any) bool {
@@ -220,12 +252,7 @@ func encodeBin(m binaryMessage) []byte {
 	e := getEnc()
 	defer putEnc(e)
 	m.encodeTo(e)
-	return rawEnvelope(m.frame(), e.Buf)
-}
-
-// rawEnvelope wraps payload in a complete binary envelope.
-func rawEnvelope(t rtmodel.FrameType, payload []byte) []byte {
-	out := make([]byte, 0, rtmodel.MaxFrameHeader+len(payload))
+	out := make([]byte, 0, rtmodel.MaxFrameHeader+len(e.Buf))
 	out = rtmodel.AppendWireHeader(out)
-	return rtmodel.AppendFrame(out, t, payload)
+	return rtmodel.AppendFrame(out, m.frame(), e.Buf)
 }

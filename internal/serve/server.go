@@ -566,6 +566,9 @@ func (s *Server) writePre(w http.ResponseWriter, bin bool, p *preEncoded, classi
 		w.Header().Set("Content-Type", ContentTypeBinary)
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(p.bin)
+		if p.raw {
+			_, _ = w.Write(p.body)
+		}
 		return
 	}
 	mProtoJSON.Inc()

@@ -191,7 +191,7 @@ func (st *Store) loadSlow(ctx context.Context, ident string) (*Snapshot, error) 
 		return nil, err
 	}
 	snap.Gen = st.gen.Add(1)
-	prepare(snap)
+	prepare(snap, nil)
 	e.snap.Store(snap)
 	mStoreLoads.Inc()
 	st.publish(snap, false, nil)
@@ -265,7 +265,7 @@ func (st *Store) RefreshDetail(ctx context.Context, ident string) (RefreshResult
 		return RefreshResult{Unchanged: true, Gen: old.Gen}, nil
 	}
 	snap.Gen = st.gen.Add(1)
-	prepare(snap)
+	prepare(snap, old)
 	e.snap.Store(snap)
 	mStoreSwaps.Inc()
 	changed := changedSummary(old, snap)
@@ -308,7 +308,7 @@ func (st *Store) refreshDelta(ctx context.Context, sp *obs.Span, dl DeltaLoader,
 			return RefreshResult{Unchanged: true, Reason: res.Reason, Gen: old.Gen}, nil
 		}
 		snap.Gen = st.gen.Add(1)
-		prepare(snap)
+		prepare(snap, old)
 		e.snap.Store(snap)
 		mStoreSwaps.Inc()
 		changed := changedSummary(old, snap)
