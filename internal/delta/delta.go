@@ -3,10 +3,11 @@
 // model, it decides — from descriptor-level diffs mapped through the
 // dependency direction of the analysis layer's attribute-grammar
 // rollups — whether the change can be applied as an in-place patch of
-// the composed instance tree, and performs that patch, instead of
-// re-running the whole parse → fetch → resolve → analyze pipeline.
+// the resolved model, and performs that patch on the runtime model
+// (ApplyRT), instead of re-running the whole parse → fetch → resolve →
+// analyze pipeline.
 //
-// The contract is strict: a patched tree must be indistinguishable
+// The contract is strict: a patched model must be indistinguishable
 // from a full re-resolution of the same descriptors. Whenever the
 // analysis cannot bound the effect of a change — structural edits,
 // parameter/constant involvement, derived-type or instance overrides,
@@ -122,14 +123,14 @@ type Outcome int
 const (
 	// Unchanged: every descriptor hash matches; nothing to do.
 	Unchanged Outcome = iota
-	// Patchable: the change is bounded; Apply the plan.
+	// Patchable: the change is bounded; apply the plan with ApplyRT.
 	Patchable
 	// Fallback: run the full pipeline; Reason names why.
 	Fallback
 )
 
 // Patch replaces one attribute value on every resolved instance of one
-// meta-type (or on the tree root, when Type equals the root system
+// meta-type (or on the model root, when Type equals the root system
 // identifier). Old is the diff rendering of the value being replaced;
 // nodes whose current value renders differently are left alone — they
 // were pinned by an override Analyze already ruled out, so a mismatch
@@ -142,7 +143,7 @@ type Patch struct {
 }
 
 // Plan is the bounded edit Analyze derived: the attribute patches plus
-// which analyses must re-run over the patched tree.
+// which analyses must re-run over the patched model.
 type Plan struct {
 	Patches       []Patch
 	NeedAnnotate  bool // a rollup source changed: re-run analysis.Annotate
@@ -358,124 +359,6 @@ func rootRefs(c *model.Component) []string {
 	}
 	out = append(out, c.Extends...)
 	return out
-}
-
-// Apply executes a plan against the composed instance tree of the
-// system rootIdent: the input is never mutated (like the resolver's
-// contract) — every node whose type tag matches a patch — or the root
-// itself, for patches addressed to the root identifier — and whose
-// current value renders as the patch's Old gets the new attribute, and
-// the analyses the plan flagged re-run over the patched tree (both are
-// idempotent, so re-running them on top of the previous results is
-// exactly what a full pipeline would compute). It returns the patched
-// tree, the paths of the patched elements, and the patch-application
-// count.
-//
-// The returned tree shares every untouched subtree with the input
-// (copy-on-write): only nodes some re-run analysis or patch may write
-// to — type-matched instances, the kinds the rollup rules annotate,
-// interconnects and channels for the bandwidth downgrade — plus their
-// ancestors are copied. A full deep clone of a large composed model
-// costs more than the rest of the patch path combined, while the write
-// set is a small fraction of the tree. Both input and output must be
-// treated as immutable afterwards, which snapshots already guarantee.
-func Apply(system *model.Component, rootIdent string, plan Plan, rules []analysis.SynthRule) (*model.Component, []string, int) {
-	if rules == nil {
-		rules = analysis.DefaultRules()
-	}
-	clone := cowClone(system, rootIdent, plan, rules)
-	var changed []string
-	n := 0
-	var rec func(c *model.Component, path string, isRoot bool)
-	rec = func(c *model.Component, path string, isRoot bool) {
-		patched := false
-		for _, p := range plan.Patches {
-			if c.Type != p.Type && !(isRoot && rootIdent == p.Type) {
-				continue
-			}
-			cur, ok := c.Attrs[p.Attr]
-			if !ok || diff.RenderAttr(cur, true) != p.Old {
-				continue
-			}
-			c.SetAttr(p.Attr, p.New)
-			n++
-			patched = true
-		}
-		if patched {
-			changed = append(changed, path)
-		}
-		for _, ch := range c.Children {
-			rec(ch, path+"/"+segOf(ch), false)
-		}
-	}
-	rec(clone, "/"+segOf(clone), true)
-	if plan.NeedAnnotate {
-		analysis.Annotate(clone, rules)
-	}
-	if plan.NeedDowngrade {
-		analysis.DowngradeBandwidth(clone)
-	}
-	return clone, changed, n
-}
-
-// cowClone builds the copy-on-write tree Apply patches: a node is
-// copied exactly when something may write to it — its type matches a
-// patch (or it is the root and a patch addresses the root identifier),
-// a re-run rollup rule annotates its kind, the bandwidth downgrade may
-// clamp it (interconnects and channels) — or a descendant was copied,
-// in which case the Children slice must be rebuilt to point at the
-// copies. Copied nodes get a fresh Attrs map (the only thing the
-// writers mutate); Params, Consts, Constraints and Properties are
-// shared, since nothing past resolution touches them.
-func cowClone(system *model.Component, rootIdent string, plan Plan, rules []analysis.SynthRule) *model.Component {
-	writableKind := map[string]bool{}
-	allKinds := false
-	if plan.NeedAnnotate {
-		for _, r := range rules {
-			if len(r.Kinds) == 0 {
-				allKinds = true
-			}
-			for _, k := range r.Kinds {
-				writableKind[k] = true
-			}
-		}
-	}
-	if plan.NeedDowngrade {
-		writableKind["interconnect"] = true
-		writableKind["channel"] = true
-	}
-	patchType := map[string]bool{}
-	for _, p := range plan.Patches {
-		patchType[p.Type] = true
-	}
-	var rec func(c *model.Component, isRoot bool) (*model.Component, bool)
-	rec = func(c *model.Component, isRoot bool) (*model.Component, bool) {
-		writable := isRoot || allKinds || writableKind[c.Kind] || patchType[c.Type]
-		var children []*model.Component
-		for i, ch := range c.Children {
-			nc, copied := rec(ch, false)
-			if copied && children == nil {
-				children = append(make([]*model.Component, 0, len(c.Children)), c.Children[:i]...)
-			}
-			if children != nil {
-				children = append(children, nc)
-			}
-		}
-		if !writable && children == nil {
-			return c, false
-		}
-		n := *c
-		if children != nil {
-			n.Children = children
-		}
-		n.Attrs = make(map[string]model.Attr, len(c.Attrs)+1)
-		for k, v := range c.Attrs {
-			n.Attrs[k] = v
-		}
-		return &n, true
-	}
-	clone, _ := rec(system, true)
-	return clone
 }
 
 // segOf is the path segment of one element: its identifier, falling

@@ -398,12 +398,11 @@ func TestAnalyzeMutationClasses(t *testing.T) {
 	}
 }
 
-// TestApplyPairMatchesReference pins the production patch path to the
-// reference one: ApplyPair's tree must render canonically identical to
-// Apply's, and its runtime model must equal rtmodel.Build over that
-// tree — the differential battery checks this end to end, this test
-// localizes a divergence to the pair logic.
-func TestApplyPairMatchesReference(t *testing.T) {
+// TestApplyRTMatchesReference pins the production patch path to the
+// reference one: ApplyRT's model must equal rtmodel.Build over Apply's
+// tree, with the same patch count — the differential battery checks
+// this end to end, this test localizes a divergence to ApplyRT.
+func TestApplyRTMatchesReference(t *testing.T) {
 	sys := model.New("system")
 	sys.ID = "srv"
 	sys.SetAttr("tdp", model.Attr{Raw: "100"})
@@ -449,20 +448,17 @@ func TestApplyPairMatchesReference(t *testing.T) {
 	refTree, _, refN := Apply(sys, "srv", plan, nil)
 	refRT := rtmodel.Build(refTree)
 
-	pairTree, pairRT, _, n, rn := ApplyPair(sys, rt, "srv", plan, nil)
-	if n != refN || rn != refN {
-		t.Fatalf("patch counts: pair tree %d, pair rt %d, reference %d", n, rn, refN)
+	got, n := ApplyRT(rt, "srv", plan, nil)
+	if n != refN {
+		t.Fatalf("patch counts: ApplyRT %d, reference %d", n, refN)
 	}
-	if Fingerprint(pairTree) != Fingerprint(refTree) {
-		t.Fatal("ApplyPair tree renders differently from Apply's")
-	}
-	if !rtmodel.Equal(pairRT, refRT) {
-		t.Fatal("ApplyPair runtime model diverges from Build(Apply(...))")
+	if !rtmodel.Equal(got, refRT) {
+		t.Fatal("ApplyRT model diverges from Build(Apply(...))")
 	}
 	if !rtmodel.Equal(rt, rtmodel.Build(sys)) {
-		t.Fatal("ApplyPair mutated its input runtime model")
+		t.Fatal("ApplyRT mutated its input runtime model")
 	}
-	if Fingerprint(sys) == Fingerprint(pairTree) {
+	if Fingerprint(sys) == Fingerprint(refTree) || rtmodel.Equal(got, rt) {
 		t.Fatal("plan was a no-op; the comparison proves nothing")
 	}
 }

@@ -1,30 +1,24 @@
 package delta
 
 import (
-	"sort"
-	"strings"
-
 	"xpdl/internal/analysis"
-	"xpdl/internal/diff"
 	"xpdl/internal/model"
 	"xpdl/internal/rtmodel"
-	"xpdl/internal/units"
 )
 
-// ApplyRT executes a plan directly against the flat runtime model,
-// producing what rtmodel.Build over the Apply result would: patch
-// type-matched nodes, then re-run the flagged analyses at the runtime
-// level. It exists purely for speed — the composed tree the endpoints
-// serve is patched separately by SyncTree, but sessions, indexes and
-// fingerprints come from the runtime model, and rebuilding it from
-// the tree costs more than the whole rest of the patch path.
+// ApplyRT executes a plan directly against the flat runtime model —
+// the only representation a served snapshot holds — producing what
+// rtmodel.Build over the patched composed tree would: patch every node
+// whose type tag matches a patch (or the root, for patches addressed
+// to the root identifier) and whose current value still renders as the
+// patch's Old, then re-run the flagged analyses at the runtime level
+// (both are idempotent, so re-running them on top of the previous
+// results is exactly what a full pipeline would compute).
 //
 // The input model is not mutated: the Nodes slice is copied, and every
 // attribute write reallocates that node's Attrs slice first (the node
 // structs still share Attrs backing arrays with the input). It returns
-// the patched model and the patch-application count, which callers
-// should cross-check against Apply's — a mismatch means the two levels
-// disagreed and the full pipeline must decide.
+// the patched model and the patch-application count.
 func ApplyRT(m *rtmodel.Model, rootIdent string, plan Plan, rules []analysis.SynthRule) (*rtmodel.Model, int) {
 	if rules == nil {
 		rules = analysis.DefaultRules()
@@ -44,9 +38,9 @@ func ApplyRT(m *rtmodel.Model, rootIdent string, plan Plan, rules []analysis.Syn
 				if n.Attrs[j].Name != p.Attr {
 					continue
 				}
-				// Same guard as Apply: only replace values that still
-				// render as the inherited Old.
-				if renderRTAttr(n.Attrs[j]) == p.Old {
+				// Only replace values that still render as the
+				// inherited Old.
+				if n.Attrs[j].Render() == p.Old {
 					if !cowed {
 						n.Attrs = append([]rtmodel.Attr(nil), n.Attrs...)
 						cowed = true
@@ -65,157 +59,6 @@ func ApplyRT(m *rtmodel.Model, rootIdent string, plan Plan, rules []analysis.Syn
 		analysis.DowngradeBandwidthRT(nm)
 	}
 	return nm, count
-}
-
-// ApplyPair executes a plan against both representations of a
-// snapshot at once: the runtime model goes through ApplyRT (patch +
-// runtime-level re-analysis), and the composed tree is patched
-// copy-on-write with its synthesized attributes read back from the
-// runtime result instead of re-running the tree-level analyses — the
-// runtime model is the tree's preorder flattening, so node i of the
-// runtime model is the i-th component of the tree walk, and a copied
-// component's synthesized values are exactly its runtime twin's.
-// Shared (uncopied) components keep their previous values, which are
-// bit-identical to a full re-annotation by determinism: their subtrees
-// saw no edit. This is the production patch path — Apply remains the
-// reference implementation the pair is validated against.
-//
-// It returns the patched tree, the patched runtime model, the patched
-// element paths, and the tree- and runtime-level patch counts; callers
-// must treat a count disagreement as a failed patch.
-func ApplyPair(system *model.Component, rt *rtmodel.Model, rootIdent string, plan Plan, rules []analysis.SynthRule) (*model.Component, *rtmodel.Model, []string, int, int) {
-	rtNew, rn := ApplyRT(rt, rootIdent, plan, rules)
-	clone, changed, n := SyncTree(system, rtNew, rootIdent, plan, rules)
-	return clone, rtNew, changed, n, rn
-}
-
-// SyncTree is ApplyPair's tree half: patch the composed tree
-// copy-on-write and read the synthesized attributes back from rtNew,
-// the already-patched runtime model. It only reads rtNew, so callers
-// may run it concurrently with other read-only consumers (hashing,
-// serialization). It returns the patched tree, the patched element
-// paths, and the patch count.
-func SyncTree(system *model.Component, rtNew *rtmodel.Model, rootIdent string, plan Plan, rules []analysis.SynthRule) (*model.Component, []string, int) {
-	if rules == nil {
-		rules = analysis.DefaultRules()
-	}
-
-	// Synthesized attribute names to read back from the runtime twin.
-	var synth []string
-	if plan.NeedAnnotate {
-		for t := range analysis.RollupTargets(rules) {
-			synth = append(synth, t)
-		}
-		sort.Strings(synth)
-	}
-	if plan.NeedDowngrade {
-		synth = append(synth, analysis.BandwidthTarget)
-	}
-
-	// Copy-set: with the analyses running at the runtime level, the tree
-	// only needs copies where values can differ — patch-type matches,
-	// interconnects/channels when the downgrade re-ran (an endpoint edit
-	// changes links anywhere in the tree), and their ancestors, whose
-	// rollup totals absorb every patched leaf beneath them.
-	writableKind := map[string]bool{}
-	if plan.NeedDowngrade {
-		writableKind["interconnect"] = true
-		writableKind["channel"] = true
-	}
-	patchType := map[string]bool{}
-	for _, p := range plan.Patches {
-		patchType[p.Type] = true
-	}
-
-	var changed []string
-	n := 0
-	idx := int32(-1)
-	// Path rendering is deferred: segs tracks the segment stack of the
-	// walk, joined only for the handful of nodes a patch lands on —
-	// building a path string per visited node would dominate the walk.
-	segs := []string{segOf(system)}
-	var rec func(c *model.Component, isRoot bool) (*model.Component, bool)
-	rec = func(c *model.Component, isRoot bool) (*model.Component, bool) {
-		idx++
-		my := idx
-		writable := isRoot || writableKind[c.Kind] || patchType[c.Type]
-		var children []*model.Component
-		for i, ch := range c.Children {
-			segs = append(segs, segOf(ch))
-			cc, copied := rec(ch, false)
-			segs = segs[:len(segs)-1]
-			if copied && children == nil {
-				children = append(make([]*model.Component, 0, len(c.Children)), c.Children[:i]...)
-			}
-			if children != nil {
-				children = append(children, cc)
-			}
-		}
-		if !writable && children == nil {
-			return c, false
-		}
-		nc := *c
-		if children != nil {
-			nc.Children = children
-		}
-		nc.Attrs = make(map[string]model.Attr, len(c.Attrs)+1)
-		for k, v := range c.Attrs {
-			nc.Attrs[k] = v
-		}
-		patched := false
-		for _, p := range plan.Patches {
-			if nc.Type != p.Type && !(isRoot && rootIdent == p.Type) {
-				continue
-			}
-			cur, ok := nc.Attrs[p.Attr]
-			if !ok || diff.RenderAttr(cur, true) != p.Old {
-				continue
-			}
-			nc.Attrs[p.Attr] = p.New
-			n++
-			patched = true
-		}
-		if patched {
-			changed = append(changed, "/"+strings.Join(segs, "/"))
-		}
-		if int(my) < len(rtNew.Nodes) {
-			tn := &rtNew.Nodes[my]
-			for _, name := range synth {
-				a, ok := tn.Attr(name)
-				if !ok || !a.HasValue() || a.Flags&rtmodel.FlagUnknown != 0 {
-					continue
-				}
-				// Rewrite only on a real difference: a declared (not
-				// synthesized) value the analyses never overwrite may
-				// carry a unit the round-trip would drop.
-				if cur, ok := nc.Attrs[name]; ok && cur.HasQuantity &&
-					cur.Quantity.Value == a.Value && cur.Quantity.Dim == a.Dim && cur.Raw == a.Raw {
-					continue
-				}
-				nc.Attrs[name] = model.Attr{
-					Raw:         a.Raw,
-					Quantity:    units.Quantity{Value: a.Value, Dim: a.Dim},
-					HasQuantity: true,
-				}
-			}
-		}
-		return &nc, true
-	}
-	clone, _ := rec(system, true)
-	return clone, changed, n
-}
-
-// renderRTAttr mirrors diff.RenderAttr(a, true) for a runtime
-// attribute — the runtime flags encode the same three-way split the
-// tree-level rendering distinguishes.
-func renderRTAttr(a rtmodel.Attr) string {
-	if a.Flags&rtmodel.FlagUnknown != 0 {
-		return "?"
-	}
-	if a.HasValue() {
-		return units.Quantity{Value: a.Value, Dim: a.Dim}.String()
-	}
-	return a.Raw
 }
 
 // rtAttrOf converts a descriptor attribute the way rtmodel.Build does.

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"xpdl/internal/model"
+	"xpdl/internal/rtmodel"
 	"xpdl/internal/units"
 )
 
@@ -83,34 +84,53 @@ type Table struct {
 	insts     map[string]*InstEnergy
 }
 
-// TableFromComponent parses a resolved <instructions> component.
+// TableFromComponent parses a resolved <instructions> component
+// through TableFromNode over the runtime model of its subtree.
 func TableFromComponent(c *model.Component) (*Table, error) {
 	if c.Kind != "instructions" {
 		return nil, fmt.Errorf("energy: component %s is not <instructions>", c)
 	}
+	m := rtmodel.Build(c)
+	return TableFromNode(m, m.Root())
+}
+
+// TableFromNode parses a resolved <instructions> node of a runtime
+// model.
+func TableFromNode(m *rtmodel.Model, n *rtmodel.Node) (*Table, error) {
+	if n.Kind != "instructions" {
+		return nil, fmt.Errorf("energy: element %s %q is not <instructions>", n.Kind, n.Ident())
+	}
 	t := &Table{
-		Name:      c.Ident(),
-		DefaultMB: c.AttrRaw("mb"),
+		Name:      n.Ident(),
+		DefaultMB: rawAttr(n, "mb"),
 		insts:     map[string]*InstEnergy{},
 	}
-	for _, in := range c.ChildrenKind("inst") {
-		ie := &InstEnergy{Name: in.Name, MB: in.AttrRaw("mb")}
+	for _, ci := range n.Children {
+		in := m.Node(ci)
+		if in.Kind != "inst" {
+			continue
+		}
+		ie := &InstEnergy{Name: in.Name, MB: rawAttr(in, "mb")}
 		if a, ok := in.Attr("energy"); ok {
 			switch {
-			case a.Unknown:
+			case a.Flags&rtmodel.FlagUnknown != 0:
 				ie.Unknown = true
-			case a.HasQuantity:
-				ie.Fixed = a.Quantity.Value
+			case a.HasValue():
+				ie.Fixed = a.Value
 				ie.HasFixed = true
 			}
 		}
-		for _, d := range in.ChildrenKind("data") {
-			f, okF := d.QuantityAttr("frequency")
-			e, okE := d.QuantityAttr("energy")
+		for _, di := range in.Children {
+			d := m.Node(di)
+			if d.Kind != "data" {
+				continue
+			}
+			f, okF := quantityAttr(d, "frequency")
+			e, okE := quantityAttr(d, "energy")
 			if !okF || !okE {
 				return nil, fmt.Errorf("energy: %s: inst %s has incomplete <data> sample", t.Name, ie.Name)
 			}
-			ie.Samples = append(ie.Samples, Sample{GHz: f.Value / 1e9, J: e.Value})
+			ie.Samples = append(ie.Samples, Sample{GHz: f / 1e9, J: e})
 		}
 		sort.Slice(ie.Samples, func(i, j int) bool { return ie.Samples[i].GHz < ie.Samples[j].GHz })
 		if ie.Name == "" {
@@ -125,6 +145,22 @@ func TableFromComponent(c *model.Component) (*Table, error) {
 		return nil, fmt.Errorf("energy: %s declares no instructions", t.Name)
 	}
 	return t, nil
+}
+
+// rawAttr returns the raw text of a node attribute, or "".
+func rawAttr(n *rtmodel.Node, name string) string {
+	a, _ := n.Attr(name)
+	return a.Raw
+}
+
+// quantityAttr returns the normalized value of a node attribute that
+// carries one.
+func quantityAttr(n *rtmodel.Node, name string) (float64, bool) {
+	a, ok := n.Attr(name)
+	if !ok || !a.HasValue() {
+		return 0, false
+	}
+	return a.Value, true
 }
 
 // Inst returns the energy model of one instruction.
@@ -228,25 +264,27 @@ type TransferCost struct {
 	EnergyOffJ   float64 // joules per message
 }
 
-// ChannelCost extracts the transfer cost model from a resolved <channel>
-// (or channel-less <interconnect>) component. effective_bandwidth (set
-// by static analysis) takes precedence over max_bandwidth.
+// ChannelCost extracts the transfer cost model from a resolved
+// <channel> (or channel-less <interconnect>) component through
+// ChannelCostFromNode.
 func ChannelCost(ch *model.Component) TransferCost {
+	return ChannelCostFromNode(rtmodel.Build(ch).Root())
+}
+
+// ChannelCostFromNode extracts the transfer cost model from a resolved
+// <channel> (or channel-less <interconnect>) node of a runtime model.
+// effective_bandwidth (set by static analysis) takes precedence over
+// max_bandwidth.
+func ChannelCostFromNode(n *rtmodel.Node) TransferCost {
 	var tc TransferCost
-	if q, ok := ch.QuantityAttr("effective_bandwidth"); ok {
-		tc.BandwidthBps = q.Value
-	} else if q, ok := ch.QuantityAttr("max_bandwidth"); ok {
-		tc.BandwidthBps = q.Value
+	if v, ok := quantityAttr(n, "effective_bandwidth"); ok {
+		tc.BandwidthBps = v
+	} else if v, ok := quantityAttr(n, "max_bandwidth"); ok {
+		tc.BandwidthBps = v
 	}
-	if q, ok := ch.QuantityAttr("time_offset_per_message"); ok {
-		tc.TimeOffsetS = q.Value
-	}
-	if q, ok := ch.QuantityAttr("energy_per_byte"); ok {
-		tc.EnergyPerB = q.Value
-	}
-	if q, ok := ch.QuantityAttr("energy_offset_per_message"); ok {
-		tc.EnergyOffJ = q.Value
-	}
+	tc.TimeOffsetS, _ = quantityAttr(n, "time_offset_per_message")
+	tc.EnergyPerB, _ = quantityAttr(n, "energy_per_byte")
+	tc.EnergyOffJ, _ = quantityAttr(n, "energy_offset_per_message")
 	return tc
 }
 

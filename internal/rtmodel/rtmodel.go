@@ -51,6 +51,21 @@ type Attr struct {
 // value.
 func (a Attr) HasValue() bool { return a.Flags&FlagHasValue != 0 }
 
+// Render is the comparison rendering of the attribute's value: "?" for
+// unknowns, the normalized quantity when one was parsed, the raw text
+// otherwise. It mirrors diff.RenderAttr(a, true) for the component
+// attribute Build converted, byte for byte, so runtime-level patches
+// and diffs match the tree-level renderings.
+func (a Attr) Render() string {
+	if a.Flags&FlagUnknown != 0 {
+		return "?"
+	}
+	if a.HasValue() {
+		return units.Quantity{Value: a.Value, Dim: a.Dim}.String()
+	}
+	return a.Raw
+}
+
 // Prop is one free-form key-value pair from a <properties> block.
 type Prop struct {
 	Name string

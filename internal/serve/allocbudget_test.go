@@ -8,8 +8,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
+	"xpdl/internal/model"
 	"xpdl/internal/rtmodel"
 )
 
@@ -33,6 +37,11 @@ type allocBudget struct {
 	// into its buffer presized from the previous generation, as a
 	// publish does: buffer, renderer and binary header, nothing per node.
 	ExportRender float64 `json:"export_render"`
+	// SnapshotRetainedMB bounds the live heap, in MiB, held only by the
+	// published XScluster snapshot: runtime model, indexes and
+	// pre-serialized answers. A composed tree kept next to the runtime
+	// model would add ~28 MiB.
+	SnapshotRetainedMB float64 `json:"snapshot_retained_mb"`
 }
 
 func readAllocBudget(t *testing.T) allocBudget {
@@ -158,5 +167,97 @@ func TestRawAnswersShareBody(t *testing.T) {
 	// The summary stays a complete envelope of its own.
 	if snap.pre.summary.raw {
 		t.Fatal("summary marked raw")
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after a full
+// collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestSnapshotRetainedBudget gates the heap a published XScluster
+// snapshot retains — live heap with the snapshot resident minus live
+// heap after it is evicted and dropped, loader and repository cache
+// alive throughout — against the checked-in budget.
+func TestSnapshotRetainedBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under the race detector")
+	}
+	budget := readAllocBudget(t)
+	_, store := newModelServer(t, Config{})
+	snap, err := store.Get(context.Background(), "XScluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := snap.Nodes()
+	with := liveHeap()
+	runtime.KeepAlive(snap)
+	if !store.Evict("XScluster") {
+		t.Fatal("XScluster was not resident")
+	}
+	without := liveHeap()
+	retainedMB := (float64(with) - float64(without)) / (1 << 20)
+	t.Logf("XScluster snapshot retains %.1f MiB (%d nodes)", retainedMB, nodes)
+	if retainedMB > budget.SnapshotRetainedMB {
+		t.Errorf("XScluster snapshot retains %.1f MiB, budget %.0f", retainedMB, budget.SnapshotRetainedMB)
+	}
+}
+
+// TestSnapshotHoldsNoComposedTree walks the Snapshot type graph: the
+// only path to a *model.Component is the captured descriptor closure
+// (parsed descriptors shared with the repository cache), never a
+// composed instance tree.
+func TestSnapshotHoldsNoComposedTree(t *testing.T) {
+	target := reflect.TypeOf((*model.Component)(nil))
+	var paths []string
+	seen := map[reflect.Type]bool{}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		if typ == target {
+			paths = append(paths, path)
+			return
+		}
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(typ.Elem(), path)
+		case reflect.Map:
+			walk(typ.Key(), path+"[key]")
+			walk(typ.Elem(), path+"[]")
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(f.Type, path+"."+f.Name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(Snapshot{}), "Snapshot")
+	if got := strings.Join(paths, ", "); got != "Snapshot.descs.Descs[].Comp" {
+		t.Fatalf("paths from Snapshot to *model.Component: %s", got)
+	}
+}
+
+// TestTreeAnswerExactSize checks that a prepared snapshot holds its
+// tree answer in a body with no spare capacity.
+func TestTreeAnswerExactSize(t *testing.T) {
+	_, store := newModelServer(t, Config{})
+	for _, m := range []string{"liu_gpu_server", "XScluster"} {
+		snap, err := store.Get(context.Background(), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := snap.pre.tree.body
+		if len(body) == 0 || cap(body) != len(body) {
+			t.Fatalf("%s: tree body len %d, cap %d", m, len(body), cap(body))
+		}
+		t.Logf("%s: %d-byte tree over %d nodes", m, len(body), snap.Nodes())
 	}
 }

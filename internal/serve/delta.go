@@ -39,7 +39,7 @@ const (
 	// patched model fingerprints equal); keep the old snapshot.
 	DeltaUnchanged DeltaOutcome = iota
 	// DeltaPatched: Snap was produced by patching the old snapshot's
-	// instance tree in place of a full resolve.
+	// runtime model in place of a full resolve.
 	DeltaPatched
 	// DeltaFull: the change was out of the patch path's bounds; Snap is
 	// a full resolve and Reason names the fallback taxon.
@@ -68,10 +68,12 @@ type DeltaLoader interface {
 
 // LoadDelta refreshes old.Ident incrementally: it re-captures the
 // descriptor closure, diffs it against the closure behind old, and —
-// when the change is a bounded attribute edit — patches the composed
-// tree and rebuilds the runtime model without re-running the resolver.
-// Anything the analysis cannot bound falls back to a full load, with
-// the reason recorded on the result.
+// when the change is a bounded attribute edit — patches old's runtime
+// model (delta.ApplyRT: type-matched attribute edits plus the flagged
+// runtime-level re-analyses) and fingerprints the result, without
+// re-running the resolver or touching a composed tree. Anything the
+// analysis cannot bound falls back to a full load, with the reason
+// recorded on the result.
 func (l *ToolchainLoader) LoadDelta(ctx context.Context, old *Snapshot) (*DeltaResult, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -99,7 +101,7 @@ func (l *ToolchainLoader) LoadDelta(ctx context.Context, old *Snapshot) (*DeltaR
 	if l.opts.RunMicrobenchmarks || l.opts.Config != nil || l.opts.Rules != nil {
 		return full("config")
 	}
-	if old.descs == nil || old.System == nil {
+	if old.descs == nil {
 		return full("state")
 	}
 	newSet, err := delta.Capture(old.Ident, func(id string) (*model.Component, error) {
@@ -116,32 +118,9 @@ func (l *ToolchainLoader) LoadDelta(ctx context.Context, old *Snapshot) (*DeltaR
 	case delta.Fallback:
 		return full(an.Reason)
 	}
-	// Both representations are patched: the runtime model through
-	// ApplyRT (skipping the rtmodel.Build walk), the composed tree
-	// copy-on-write with synthesized values synced back from the runtime
-	// result (skipping the tree-level re-analysis). Fingerprinting and
-	// the tree sync only read the patched runtime model, so they run
-	// concurrently. Both levels must land the same edits; a count
-	// mismatch means they disagreed and only the full pipeline can
-	// arbitrate.
-	rt, rn := delta.ApplyRT(old.Session.Model(), old.Ident, an.Plan, nil)
-	var (
-		patched *model.Component
-		paths   []string
-		n       int
-	)
-	synced := make(chan struct{})
-	go func() {
-		defer close(synced)
-		patched, paths, n = delta.SyncTree(old.System, rt, old.Ident, an.Plan, nil)
-	}()
-	fp, ferr := fingerprintOf(rt)
-	<-synced
-	if ferr != nil {
-		return full("error")
-	}
-	if rn != n {
-		sp.Event("tree/runtime patch mismatch: %d vs %d edits", n, rn)
+	rt, n := delta.ApplyRT(old.Session.Model(), old.Ident, an.Plan, nil)
+	fp, err := fingerprintOf(rt)
+	if err != nil {
 		return full("error")
 	}
 	if fp == old.Fingerprint {
@@ -150,13 +129,12 @@ func (l *ToolchainLoader) LoadDelta(ctx context.Context, old *Snapshot) (*DeltaR
 		sp.Event("patched model fingerprints equal; keeping old snapshot")
 		return &DeltaResult{Outcome: DeltaUnchanged, Snap: old}, nil
 	}
-	sp.Event("delta patch: %d attribute edits across %d elements", n, len(paths))
+	sp.Event("delta patch: %d attribute edits", n)
 	snap := &Snapshot{
 		Ident:       old.Ident,
 		Fingerprint: fp,
 		LoadedAt:    time.Now(),
 		Session:     query.NewSession(rt),
-		System:      patched,
 		descs:       newSet,
 	}
 	return &DeltaResult{Outcome: DeltaPatched, Snap: snap, Changed: an.Changed}, nil

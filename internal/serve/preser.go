@@ -71,6 +71,22 @@ func renderExport(snap, old *Snapshot) preEncoded {
 	return rawPre(frameRawJSON, body)
 }
 
+// treeBytesPerNode presizes the tree render: the zoo's system models
+// render 23–31 bytes per runtime node (XScluster 31).
+const treeBytesPerNode = 32
+
+// renderTree renders the tree answer of snap into a body whose capacity
+// equals its length: the body lives as long as the snapshot (and its
+// delta successors, which reuse it), so no slack is held with it.
+func renderTree(snap *Snapshot) preEncoded {
+	var tb bytes.Buffer
+	tb.Grow(snap.Session.Model().Len() * treeBytesPerNode)
+	_ = WriteTree(&tb, snap.Session.Root())
+	body := make([]byte, tb.Len())
+	copy(body, tb.Bytes())
+	return rawPre(frameRawTree, body)
+}
+
 // preResponses is the pre-serialized set of one snapshot. The fixed
 // members are built before the snapshot is published and read-only
 // afterwards; elems fills lazily (ident → *preEncoded) and is safe for
@@ -99,9 +115,7 @@ func prepare(snap, old *Snapshot) {
 	p := &preResponses{}
 	sum := summaryOf(snap)
 	p.summary = preEncoded{body: marshalIndented(sum), bin: encodeBin(&sum)}
-	var tb bytes.Buffer
-	_ = WriteTree(&tb, snap.Session.Root())
-	p.tree = rawPre(frameRawTree, tb.Bytes())
+	p.tree = renderTree(snap)
 	p.export = renderExport(snap, old)
 	snap.pre = p
 }
@@ -131,9 +145,7 @@ func preparePatched(snap, old *Snapshot) {
 		p.tree = old.pre.tree
 		mPreserReused.Inc()
 	} else {
-		var tb bytes.Buffer
-		_ = WriteTree(&tb, snap.Session.Root())
-		p.tree = rawPre(frameRawTree, tb.Bytes())
+		p.tree = renderTree(snap)
 	}
 	p.export = renderExport(snap, old)
 	if old.pre != nil {

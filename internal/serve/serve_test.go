@@ -89,7 +89,6 @@ func (l *stubLoader) Load(ctx context.Context, ident string) (*Snapshot, error) 
 		Fingerprint: fmt.Sprintf("fp-%s-%d", ident, v),
 		LoadedAt:    time.Now(),
 		Session:     query.NewSession(rtmodel.Build(comp)),
-		System:      comp,
 	}, nil
 }
 

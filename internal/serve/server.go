@@ -18,7 +18,6 @@ import (
 	"xpdl/internal/composition"
 	"xpdl/internal/energy"
 	"xpdl/internal/expr"
-	"xpdl/internal/model"
 	"xpdl/internal/obs"
 	"xpdl/internal/obs/qstats"
 	"xpdl/internal/query"
@@ -950,20 +949,6 @@ func evalResponseOf(v expr.Value) EvalResponse {
 	return resp
 }
 
-// findComponent locates a component by identifier in the composed
-// instance tree (energy tables, interconnect channels).
-func findComponent(sys *model.Component, ident string) *model.Component {
-	var out *model.Component
-	sys.Walk(func(c *model.Component) bool {
-		if out == nil && c.Ident() == ident {
-			out = c
-			return false
-		}
-		return out == nil
-	})
-	return out
-}
-
 func (s *Server) handleEnergy(w http.ResponseWriter, r *http.Request) (any, error) {
 	snap, err := s.snapshot(w, r)
 	if err != nil {
@@ -974,11 +959,12 @@ func (s *Server) handleEnergy(w http.ResponseWriter, r *http.Request) (any, erro
 	if tableID == "" {
 		return nil, badRequest("missing ?table= query parameter")
 	}
-	comp := findComponent(snap.System, tableID)
-	if comp == nil || comp.Kind != "instructions" {
+	m := snap.Session.Model()
+	node, ok := m.Lookup(tableID)
+	if !ok || node.Kind != "instructions" {
 		return nil, notFound("instruction table %q not found in model %q", tableID, snap.Ident)
 	}
-	table, err := energy.TableFromComponent(comp)
+	table, err := energy.TableFromNode(m, node)
 	if err != nil {
 		return nil, &apiError{status: http.StatusUnprocessableEntity,
 			msg: fmt.Sprintf("table %q: %v", tableID, err)}
@@ -1016,8 +1002,8 @@ func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) (any, er
 	if chID == "" {
 		return nil, badRequest("missing ?channel= query parameter")
 	}
-	comp := findComponent(snap.System, chID)
-	if comp == nil || (comp.Kind != "channel" && comp.Kind != "interconnect") {
+	node, ok := snap.Session.Model().Lookup(chID)
+	if !ok || (node.Kind != "channel" && node.Kind != "interconnect") {
 		return nil, notFound("channel %q not found in model %q", chID, snap.Ident)
 	}
 	parseCount := func(key string, def int64) (int64, error) {
@@ -1039,7 +1025,7 @@ func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) (any, er
 	if err != nil {
 		return nil, err
 	}
-	tc := energy.ChannelCost(comp)
+	tc := energy.ChannelCostFromNode(node)
 	timeS, energyJ := tc.Cost(bytes, messages)
 	return TransferResponse{
 		Channel:      chID,

@@ -37,6 +37,11 @@ import (
 // number of request goroutines may share it while the store swaps in a
 // successor; holders of an old snapshot keep a consistent view until
 // they drop it.
+//
+// A snapshot holds one representation of the model: the runtime model
+// behind Session (paper Section IV), which every endpoint, the watch
+// change list and the delta patch path read. The composed instance
+// tree the toolchain resolved it from is not retained.
 type Snapshot struct {
 	// Ident is the concrete system model identifier (e.g. "XScluster").
 	Ident string
@@ -50,9 +55,6 @@ type Snapshot struct {
 	LoadedAt time.Time
 	// Session is the runtime query API over the resolved model.
 	Session *query.Session
-	// System is the composed instance tree behind Session; energy-table
-	// and transfer-cost queries read it.
-	System *model.Component
 
 	// pre holds the snapshot's pre-serialized hot responses (see
 	// preser.go), built by prepare before the store publishes the
@@ -151,7 +153,6 @@ func (l *ToolchainLoader) loadLocked(ctx context.Context, systemID string) (*Sna
 		Fingerprint: fp,
 		LoadedAt:    time.Now(),
 		Session:     query.NewSession(res.Runtime),
-		System:      res.System,
 	}
 	// Capture the descriptor closure for incremental refreshes. The
 	// repository cache is warm from the load just done, so this re-walks

@@ -8,8 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"xpdl/internal/diff"
 	"xpdl/internal/obs"
+	"xpdl/internal/rtmodel"
 )
 
 // Store metrics in the process-wide registry.
@@ -117,29 +117,99 @@ func (st *Store) publish(snap *Snapshot, isDelta bool, changed []string) {
 	})
 }
 
+// maxChangedEntries bounds the element paths one watch event names.
+const maxChangedEntries = 8
+
 // changedSummary renders a bounded changed-element summary for watch
 // events on the full-resolve path (the delta path knows its changed
-// descriptors exactly; here we diff the composed trees and truncate).
+// descriptors exactly; here the two runtime models are diffed): the
+// first maxChangedEntries changed element paths in sorted order, then
+// "+N more" counting the elements left out.
 func changedSummary(old, cur *Snapshot) []string {
-	if old == nil || cur == nil || old.System == nil || cur.System == nil {
+	if old == nil || cur == nil || old.Session == nil || cur.Session == nil {
 		return nil
 	}
-	const maxEntries = 8
-	changes := diff.Diff(old.System, cur.System)
-	out := make([]string, 0, maxEntries+1)
-	seen := map[string]bool{}
-	for _, ch := range changes {
-		if seen[ch.Path] {
+	paths := changedPaths(old.Session.Model(), cur.Session.Model())
+	if len(paths) <= maxChangedEntries {
+		return paths
+	}
+	rest := len(paths) - maxChangedEntries
+	return append(paths[:maxChangedEntries:maxChangedEntries], fmt.Sprintf("+%d more", rest))
+}
+
+// changedPaths lists, sorted, the paths of the elements added,
+// removed, or changed (an attribute value or the type reference)
+// between two runtime models. Paths are named as diff.Diff names them
+// on the composed trees the models were built from.
+func changedPaths(om, nm *rtmodel.Model) []string {
+	oldPaths, newPaths := elementPaths(om), elementPaths(nm)
+	oldAt := make(map[string]int32, len(oldPaths))
+	for i, p := range oldPaths {
+		oldAt[p] = int32(i)
+	}
+	var out []string
+	for i, p := range newPaths {
+		j, ok := oldAt[p]
+		if !ok {
+			out = append(out, p) // added
 			continue
 		}
-		seen[ch.Path] = true
-		if len(out) == maxEntries {
-			out = append(out, fmt.Sprintf("+%d more", len(changes)-maxEntries))
-			break
+		delete(oldAt, p)
+		if !sameAttrs(om.Node(j), nm.Node(int32(i))) {
+			out = append(out, p)
 		}
-		out = append(out, ch.Path)
 	}
+	for p := range oldAt {
+		out = append(out, p) // removed
+	}
+	sort.Strings(out)
 	return out
+}
+
+// elementPaths names every node of a preorder runtime model by the
+// slash-joined identifiers (falling back to the kind) from the root
+// down; a path already taken gets the first free "#n" suffix, so
+// same-named siblings align positionally.
+func elementPaths(m *rtmodel.Model) []string {
+	paths := make([]string, m.Len())
+	taken := make(map[string]bool, m.Len())
+	for i := range m.Nodes {
+		n := &m.Nodes[i]
+		seg := n.Ident()
+		if seg == "" {
+			seg = n.Kind
+		}
+		path := "/" + seg
+		if n.Parent >= 0 {
+			path = paths[n.Parent] + path
+		}
+		if taken[path] {
+			for k := 2; ; k++ {
+				if cand := fmt.Sprintf("%s#%d", path, k); !taken[cand] {
+					path = cand
+					break
+				}
+			}
+		}
+		taken[path] = true
+		paths[i] = path
+	}
+	return paths
+}
+
+// sameAttrs reports whether two nodes carry the same type reference
+// and the same attributes, values compared by their diff rendering.
+func sameAttrs(a, b *rtmodel.Node) bool {
+	if a.Type != b.Type || len(a.Attrs) != len(b.Attrs) {
+		return false
+	}
+	for _, x := range a.Attrs {
+		y, ok := b.Attr(x.Name)
+		if !ok || (x != y && x.Render() != y.Render()) {
+			return false
+		}
+	}
+	return true
 }
 
 // Get returns the current snapshot of ident, loading it through the
