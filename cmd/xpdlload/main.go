@@ -10,8 +10,9 @@
 // -addr accepts a comma-separated list of xpdld base URLs; more than
 // one switches on cluster mode: every request routes over a rendezvous
 // ring (replication factor -replicas) to the model's replica set,
-// spreads across healthy replicas, and fails over on transport errors
-// — a request only counts as failed when EVERY member refused it. The
+// spreads across healthy replicas, and fails over by the ring's table
+// (shard.Ring.Route) — a request only counts as failed when EVERY
+// member refused it. The
 // report gains a "route:" line (members up, picks, failovers) and the
 // run exports the same xpdl_route_* metrics the serving tier uses, so
 // a kill-a-member experiment can assert zero failed requests while the
@@ -60,6 +61,7 @@ import (
 	"time"
 
 	"xpdl/internal/obs"
+	"xpdl/internal/repo"
 	"xpdl/internal/serve"
 	"xpdl/internal/shard"
 )
@@ -262,14 +264,14 @@ func main() {
 				pr := protos[i%len(protos)]
 				ps := st.perProto[pr]
 				sampled := sampler.Sample()
-				// Walk the ring's failover order for this request; the
-				// single-endpoint order is just that endpoint. A transport
-				// error marks the member down and moves on — only a request
-				// that every member refused counts as failed.
+				// Route this request over the ring; the single-endpoint
+				// order is just that endpoint. The body read belongs to the
+				// attempt, so a body that breaks off fails over too.
 				var resp *http.Response
+				var n int64
 				var reqErr error
 				t0 := time.Now()
-				for _, member := range ring.Order(*model) {
+				ring.Route(*model, serve.ReplaySafe(p.method, modelPath+p.path), func(member string) (shard.Outcome, time.Duration) {
 					var body io.Reader
 					if p.body != "" {
 						body = strings.NewReader(p.body)
@@ -277,7 +279,7 @@ func main() {
 					req, err := http.NewRequest(p.method, member+modelPath+p.path, body)
 					if err != nil {
 						reqErr = err
-						break
+						return shard.Stopped, 0
 					}
 					if p.body != "" {
 						req.Header.Set("Content-Type", "application/json")
@@ -293,18 +295,19 @@ func main() {
 						}
 						req.Header.Set(obs.TraceparentHeader, tc.Traceparent())
 					}
-					resp, reqErr = client.Do(req)
-					if reqErr == nil {
-						ring.ReportSuccess(member)
-						break
+					if resp, reqErr = client.Do(req); reqErr != nil {
+						return shard.Classify(0, reqErr), 0
 					}
-					ring.ReportFailure(member)
-				}
-				if reqErr != nil || resp == nil {
+					defer resp.Body.Close()
+					if n, reqErr = io.Copy(io.Discard, resp.Body); reqErr != nil {
+						return shard.Failed, 0
+					}
+					return shard.Classify(resp.StatusCode, nil), repo.RetryAfter(resp)
+				})
+				if reqErr != nil {
 					ps.transport++
 					continue
 				}
-				n, _ := io.Copy(io.Discard, resp.Body)
 				lat := time.Since(t0)
 				ps.latencies = append(ps.latencies, lat)
 				ps.byCode[resp.StatusCode]++
@@ -319,7 +322,6 @@ func main() {
 					st.slowestProbe = p.name
 					st.slowestTrace = resp.Header.Get("X-Xpdl-Trace")
 				}
-				resp.Body.Close()
 			}
 		}(w)
 	}

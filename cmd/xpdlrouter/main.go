@@ -4,9 +4,11 @@
 // RouterClient uses: every /v1/models/{model}/... request hashes the
 // model identifier to its replica set (factor -replicas), is forwarded
 // to a healthy replica, spreads across replicas, and fails over —
-// inside the one client request — on connect errors and on 503s
-// honoring Retry-After. Non-model paths (/v1/models, /v1/jobs,
-// /v1/stats/...) forward to any healthy member.
+// inside the one client request — by the ring's failover table
+// (shard.Ring.Route): 503s cool the member, connect errors mark it
+// down, and a side-effecting request (serve.ReplaySafe) never reaches a
+// second member once a first may have acted on it. Non-model paths
+// (/v1/models, /v1/jobs, /v1/stats/...) forward to any healthy member.
 //
 // Membership is health-checked: a background prober hits each member's
 // /healthz every -probe-interval, marking members down after
@@ -46,6 +48,7 @@ import (
 	"time"
 
 	"xpdl/internal/obs"
+	"xpdl/internal/repo"
 	"xpdl/internal/serve"
 	"xpdl/internal/shard"
 )
@@ -201,35 +204,25 @@ func (rt *router) handleForward(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	var lastStatus *http.Response
-	for _, member := range rt.ring.Order(ident) {
+	// The ring keeps member health; this tier classifies each forward
+	// and relays the last answer, a 503 when every member shed.
+	var last *http.Response
+	rt.ring.Route(ident, serve.ReplaySafe(r.Method, r.URL.Path), func(member string) (shard.Outcome, time.Duration) {
 		resp, err := rt.forwardTo(r, member, body)
 		if err != nil {
 			if r.Context().Err() != nil {
-				return // the client hung up; nothing left to answer
+				return shard.Stopped, 0 // the client hung up
 			}
-			rt.ring.ReportFailure(member)
-			continue
+			return shard.Classify(0, err), 0
 		}
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			rt.ring.ReportBusy(member, retryAfterOf(resp))
-			if lastStatus != nil {
-				lastStatus.Body.Close()
-			}
-			lastStatus = resp
-			continue
+		if last != nil {
+			last.Body.Close()
 		}
-		rt.ring.ReportSuccess(member)
-		if lastStatus != nil {
-			lastStatus.Body.Close()
-		}
-		rt.relay(w, resp)
-		return
-	}
-	// Every member failed. Relay the last real answer (a 503 chain) if
-	// any member produced one; otherwise the cluster is unreachable.
-	if lastStatus != nil {
-		rt.relay(w, lastStatus)
+		last = resp
+		return shard.Classify(resp.StatusCode, nil), repo.RetryAfter(resp)
+	})
+	if last != nil {
+		rt.relay(w, last)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -292,29 +285,10 @@ func (rt *router) relay(w http.ResponseWriter, resp *http.Response) {
 			}
 		}
 		if err != nil {
+			if err != io.EOF {
+				panic(http.ErrAbortHandler) // a body that broke off must not pass for complete
+			}
 			return
 		}
 	}
-}
-
-// retryAfterOf parses the Retry-After of an upstream 503 in both RFC
-// 9110 forms; zero means absent.
-func retryAfterOf(resp *http.Response) time.Duration {
-	v := resp.Header.Get("Retry-After")
-	if v == "" {
-		return 0
-	}
-	var secs int
-	if _, err := fmt.Sscanf(v, "%d", &secs); err == nil {
-		if secs < 0 {
-			return 0
-		}
-		return time.Duration(secs) * time.Second
-	}
-	if at, err := http.ParseTime(v); err == nil {
-		if d := time.Until(at); d > 0 {
-			return d
-		}
-	}
-	return 0
 }

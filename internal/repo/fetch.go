@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"xpdl/internal/model"
@@ -300,7 +302,7 @@ func (r *Repository) fetchOnce(ctx context.Context, base, ident string) (*model.
 		obs.SpanFromContext(ctx).Event("304 not modified; served from disk cache")
 		return c, nil
 	case resp.StatusCode != http.StatusOK:
-		return nil, &statusError{url: url, code: resp.StatusCode, retryAfter: retryAfterOf(resp)}
+		return nil, &statusError{url: url, code: resp.StatusCode, retryAfter: RetryAfter(resp)}
 	}
 	src, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
 	if err != nil {
@@ -319,25 +321,21 @@ func (r *Repository) fetchOnce(ctx context.Context, base, ident string) (*model.
 	return c, nil
 }
 
-// retryAfterOf parses a Retry-After header in both RFC 9110 forms:
-// delta-seconds and HTTP-date (a date in the past means no delay).
-// Unparseable values fall back to zero — the backoff schedule covers
-// them; backoffFor clamps whatever this returns to MaxBackoff.
-func retryAfterOf(resp *http.Response) time.Duration {
+// RetryAfter parses a Retry-After header in both RFC 9110 forms:
+// delta-seconds (digits only; too large saturates, never wraps) and
+// HTTP-date (a date in the past means no delay). Unparseable values
+// fall back to zero. Callers clamp the result to their own ceiling.
+func RetryAfter(resp *http.Response) time.Duration {
 	v := resp.Header.Get("Retry-After")
-	if v == "" {
-		return 0
-	}
-	if secs, err := strconv.Atoi(v); err == nil {
-		if secs < 0 {
-			return 0
+	if v != "" && strings.Trim(v, "0123456789") == "" {
+		secs, _ := strconv.ParseUint(v, 10, 64) // digits only: on overflow, the maximum
+		if secs > uint64(math.MaxInt64/time.Second) {
+			return math.MaxInt64
 		}
 		return time.Duration(secs) * time.Second
 	}
 	if at, err := http.ParseTime(v); err == nil {
-		if d := time.Until(at); d > 0 {
-			return d
-		}
+		return max(time.Until(at), 0)
 	}
 	return 0
 }
@@ -384,7 +382,7 @@ func fetchURLOnce(ctx context.Context, client *http.Client, url string, timeout 
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, &statusError{url: url, code: resp.StatusCode, retryAfter: retryAfterOf(resp)}
+		return nil, &statusError{url: url, code: resp.StatusCode, retryAfter: RetryAfter(resp)}
 	}
 	return io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 }

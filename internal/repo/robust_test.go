@@ -3,6 +3,8 @@ package repo
 import (
 	"context"
 	"errors"
+	"math"
+	"math/big"
 	"net/http"
 	"strings"
 	"sync"
@@ -395,7 +397,7 @@ func TestBackoffSchedule(t *testing.T) {
 	}
 }
 
-// TestRetryAfterForms pins retryAfterOf on both RFC 9110 forms of the
+// TestRetryAfterForms pins RetryAfter on both RFC 9110 forms of the
 // header: delta-seconds and HTTP-date (the latter used to be dropped).
 func TestRetryAfterForms(t *testing.T) {
 	mk := func(v string) *http.Response {
@@ -405,36 +407,83 @@ func TestRetryAfterForms(t *testing.T) {
 		}
 		return &http.Response{Header: h}
 	}
-	if got := retryAfterOf(mk("")); got != 0 {
+	if got := RetryAfter(mk("")); got != 0 {
 		t.Errorf("absent header: %v, want 0", got)
 	}
-	if got := retryAfterOf(mk("7")); got != 7*time.Second {
+	if got := RetryAfter(mk("7")); got != 7*time.Second {
 		t.Errorf("delta-seconds: %v, want 7s", got)
 	}
-	if got := retryAfterOf(mk("-3")); got != 0 {
+	if got := RetryAfter(mk("-3")); got != 0 {
 		t.Errorf("negative seconds: %v, want 0", got)
 	}
-	if got := retryAfterOf(mk("soon")); got != 0 {
+	if got := RetryAfter(mk("soon")); got != 0 {
 		t.Errorf("garbage: %v, want 0", got)
+	}
+	// Digits only: a trailing suffix or a sign makes the value garbage.
+	for _, v := range []string{"5abc", "+5", "5 ", "0x10", "1e3", "3.5"} {
+		if got := RetryAfter(mk(v)); got != 0 {
+			t.Errorf("%q: %v, want 0", v, got)
+		}
+	}
+	// Out-of-range seconds saturate instead of wrapping: 9223372037 s
+	// used to parse to -2562047h and 18446744074 s to 290ms.
+	for _, v := range []string{"9223372037", "18446744074", "99999999999999999999999"} {
+		if got := RetryAfter(mk(v)); got != math.MaxInt64 {
+			t.Errorf("%q: %v, want the saturated maximum", v, got)
+		}
+	}
+	if got := RetryAfter(mk("86400")); got != 24*time.Hour {
+		t.Errorf("one day: %v, want 24h (callers clamp it)", got)
 	}
 	// HTTP-date ~30s out parses to a positive duration near 30s.
 	future := time.Now().Add(30 * time.Second).UTC().Format(http.TimeFormat)
-	if got := retryAfterOf(mk(future)); got <= 25*time.Second || got > 31*time.Second {
+	if got := RetryAfter(mk(future)); got <= 25*time.Second || got > 31*time.Second {
 		t.Errorf("HTTP-date: %v, want ~30s", got)
 	}
 	// A date in the past means no extra delay.
 	past := time.Now().Add(-time.Minute).UTC().Format(http.TimeFormat)
-	if got := retryAfterOf(mk(past)); got != 0 {
+	if got := RetryAfter(mk(past)); got != 0 {
 		t.Errorf("past HTTP-date: %v, want 0", got)
 	}
 	// End to end: an HTTP-date Retry-After flows through backoffFor and
 	// is clamped to MaxBackoff like the seconds form.
 	cfg := FetchConfig{MaxBackoff: 2 * time.Second}.withDefaults()
 	farOut := time.Now().Add(time.Hour).UTC().Format(http.TimeFormat)
-	se := &statusError{code: 429, retryAfter: retryAfterOf(mk(farOut))}
+	se := &statusError{code: 429, retryAfter: RetryAfter(mk(farOut))}
 	if got := cfg.backoffFor(0, se); got != cfg.MaxBackoff {
 		t.Errorf("HTTP-date Retry-After not capped: %v", got)
 	}
+}
+
+// FuzzRetryAfter checks the parser on any header value: the result is
+// never negative, and a digits-only value gives exactly its seconds,
+// saturated at the largest Duration, never a wrapped value.
+func FuzzRetryAfter(f *testing.F) {
+	for _, v := range []string{"", "0", "7", "-3", "5abc", "86400", "9223372036",
+		"9223372037", "18446744074", "Wed, 21 Oct 2015 07:28:00 GMT", "soon"} {
+		f.Add(v)
+	}
+	limit := big.NewInt(math.MaxInt64)
+	f.Fuzz(func(t *testing.T, v string) {
+		h := http.Header{}
+		h.Set("Retry-After", v)
+		got := RetryAfter(&http.Response{Header: h})
+		if got < 0 {
+			t.Fatalf("%q: negative %v", v, got)
+		}
+		v = h.Get("Retry-After")
+		if v == "" || strings.Trim(v, "0123456789") != "" {
+			return
+		}
+		want, _ := new(big.Int).SetString(v, 10)
+		want.Mul(want, big.NewInt(int64(time.Second)))
+		if want.Cmp(limit) > 0 {
+			want = limit
+		}
+		if big.NewInt(int64(got)).Cmp(want) != 0 {
+			t.Fatalf("%q: %d, want %s", v, got, want)
+		}
+	})
 }
 
 func TestMissAccounting(t *testing.T) {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"xpdl/internal/obs"
+	"xpdl/internal/repo"
 	"xpdl/internal/rtmodel"
 	"xpdl/internal/scenario"
 )
@@ -250,28 +251,7 @@ func (c *Client) statusError(resp *http.Response, path, ct string) error {
 		_ = json.Unmarshal(data, &envelope)
 		msg = envelope.Error
 	}
-	return &apiStatusError{Status: resp.StatusCode, Msg: msg, RetryAfter: retryAfterHeader(resp)}
-}
-
-// retryAfterHeader parses Retry-After in both RFC 9110 forms:
-// delta-seconds and HTTP-date. Zero means absent or unparseable.
-func retryAfterHeader(resp *http.Response) time.Duration {
-	v := resp.Header.Get("Retry-After")
-	if v == "" {
-		return 0
-	}
-	if secs, err := strconv.Atoi(v); err == nil {
-		if secs < 0 {
-			return 0
-		}
-		return time.Duration(secs) * time.Second
-	}
-	if at, err := http.ParseTime(v); err == nil {
-		if d := time.Until(at); d > 0 {
-			return d
-		}
-	}
-	return 0
+	return &apiStatusError{Status: resp.StatusCode, Msg: msg, RetryAfter: repo.RetryAfter(resp)}
 }
 
 // Health fetches /healthz.

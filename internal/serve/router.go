@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"time"
 
 	"xpdl/internal/scenario"
@@ -15,8 +16,8 @@ import (
 // RouterClient is the client-side routing tier over a cluster of xpdld
 // members: every call hashes the model ident to its replica set on a
 // rendezvous ring (shard.Ring), spreads reads across healthy replicas,
-// and fails over — transparently, inside one call — on connect errors
-// and on 503s honoring Retry-After. Callers use it exactly like a
+// and fails over — transparently, inside one call — by the ring's
+// failover table (shard.Ring.Route). Callers use it exactly like a
 // Client pointed at a single daemon; the cluster is invisible until
 // every member of it is unreachable.
 type RouterClient struct {
@@ -83,59 +84,37 @@ func (rc *RouterClient) Stop() { rc.ring.Stop() }
 // Ring exposes the routing ring for stats and member introspection.
 func (rc *RouterClient) Ring() *shard.Ring { return rc.ring }
 
-// route runs op against ident's failover order: healthy replicas
-// first, then other healthy members. Transport errors mark the member
-// down and move on; 503s start the member's Retry-After cooldown and
-// move on; any other daemon answer (2xx, 4xx, 5xx) is authoritative —
-// a 404 on one replica is a 404 on all of them.
-func (rc *RouterClient) route(ctx context.Context, ident string, op func(*Client) error) error {
-	var lastErr error
-	for _, base := range rc.ring.Order(ident) {
-		c := rc.clients[base]
-		err := op(c)
-		if err == nil {
-			rc.ring.ReportSuccess(base)
-			return nil
-		}
-		if ctx.Err() != nil {
-			return err
-		}
+// route sends op through ident's failover order (shard.Ring.Route).
+// cl, when not nil, records what op handed the caller.
+func (rc *RouterClient) route(ctx context.Context, ident string, replaySafe bool, cl *caller, op func(*Client) error) error {
+	var err error
+	if rc.ring.Route(ident, replaySafe, func(base string) (shard.Outcome, time.Duration) {
+		err = op(rc.clients[base])
 		var se *apiStatusError
-		if errors.As(err, &se) {
-			if se.Status == http.StatusServiceUnavailable {
-				rc.ring.ReportBusy(base, se.RetryAfter)
-				lastErr = err
-				continue
-			}
-			return err
-		}
 		var cte *ContentTypeError
-		if errors.As(err, &cte) {
-			// Protocol violation, not a dead member; do not mask it by
-			// retrying elsewhere.
-			return err
+		switch {
+		case err == nil:
+			return shard.Answered, 0
+		case ctx.Err() != nil, errors.As(err, &cte), cl != nil && cl.err != nil:
+			return shard.Stopped, 0
+		case errors.As(err, &se):
+			return shard.Classify(se.Status, nil), se.RetryAfter
+		case cl != nil && cl.n > 0:
+			return shard.FailedAfterOutput, 0
 		}
-		// Connect error, reset, timeout: the member is gone until the
-		// prober (or a later success) says otherwise.
-		rc.ring.ReportFailure(base)
-		lastErr = err
+		return shard.Classify(0, err), 0
+	}) {
+		return err
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("xpdld: no cluster member answered for %q", ident)
-	}
-	return fmt.Errorf("all members failed for %q: %w", ident, lastErr)
+	return fmt.Errorf("all members failed for %q: %w", ident, err)
 }
 
 // routeVal adapts route to calls returning a value.
 func routeVal[T any](ctx context.Context, rc *RouterClient, ident string, op func(*Client) (T, error)) (T, error) {
 	var out T
-	err := rc.route(ctx, ident, func(c *Client) error {
-		v, err := op(c)
-		if err != nil {
-			return err
-		}
-		out = v
-		return nil
+	err := rc.route(ctx, ident, true, nil, func(c *Client) (err error) {
+		out, err = op(c)
+		return err
 	})
 	return out, err
 }
@@ -186,32 +165,43 @@ func (rc *RouterClient) Dispatch(ctx context.Context, ident string, req Dispatch
 	return routeVal(ctx, rc, ident, func(c *Client) (DispatchResponse, error) { return c.Dispatch(ctx, ident, req) })
 }
 
-// Tree streams the plain-text model tree into w. Note w may have seen
-// partial output if a member dies mid-body; stream reads are routed
-// but not transparently resumed.
+// Tree streams the plain-text model tree into w. Once bytes have
+// reached w, a member failure ends the call with its error instead of
+// failing over, so w never holds parts of two bodies.
 func (rc *RouterClient) Tree(ctx context.Context, ident string, w io.Writer) error {
-	return rc.route(ctx, ident, func(c *Client) error { return c.Tree(ctx, ident, w) })
+	cl := &caller{w: w}
+	return rc.route(ctx, ident, true, cl, func(c *Client) error { return c.Tree(ctx, ident, cl) })
 }
 
-// WatchPoll long-polls ident's replica set. Sequence numbers are
-// per-member: a since cursor obtained from one member is only
-// meaningful on that member, so cross-member failover restarts from 0.
-func (rc *RouterClient) WatchPoll(ctx context.Context, ident string, since uint64, wait time.Duration) (WatchPollResponse, error) {
-	return routeVal(ctx, rc, ident, func(c *Client) (WatchPollResponse, error) { return c.WatchPoll(ctx, ident, since, wait) })
+// caller records what a routed call handed its caller: n bytes written
+// to the caller's writer w, and err, the caller's own failure (its
+// writer's or callback's), which ends the call without a health report.
+type caller struct {
+	w   io.Writer
+	n   int
+	err error
+}
+
+func (cl *caller) Write(p []byte) (int, error) {
+	n, err := cl.w.Write(p)
+	cl.n += n
+	cl.err = err
+	return n, err
 }
 
 // Sweep submits a parameter sweep. The job lives on the member that
 // accepted it; poll it through a direct Client against that member.
+// Submitting is side-effecting (ReplaySafe).
 func (rc *RouterClient) Sweep(ctx context.Context, ident string, spec scenario.Spec) (SweepAccepted, string, error) {
+	var acc SweepAccepted
 	var member string
-	out, err := routeVal(ctx, rc, ident, func(c *Client) (SweepAccepted, error) {
-		acc, err := c.Sweep(ctx, ident, spec)
-		if err == nil {
+	err := rc.route(ctx, ident, ReplaySafe(http.MethodPost, "/v1/models/"+url.PathEscape(ident)+"/sweep"), nil, func(c *Client) (err error) {
+		if acc, err = c.Sweep(ctx, ident, spec); err == nil {
 			member = c.Base
 		}
-		return acc, err
+		return err
 	})
-	return out, member, err
+	return acc, member, err
 }
 
 // Watch follows ident's generation events on one pinned replica (the
@@ -223,31 +213,13 @@ func (rc *RouterClient) Sweep(ctx context.Context, ident string, spec scenario.S
 // treat (member switch ⇒ possible duplicate generations) as at-least-
 // once delivery.
 func (rc *RouterClient) Watch(ctx context.Context, ident string, since uint64, fn func(WatchEvent) error) error {
-	var lastErr error
-	// One pass over the current failover order; a member that dies
-	// mid-stream has already burned its own reconnect budget.
-	for i, base := range rc.ring.Order(ident) {
-		c := rc.clients[base]
-		if i > 0 {
-			since = 0 // cursors are per-member
-		}
-		cbFailed := false
+	cl := &caller{} // events do not count as output: delivery is at-least-once
+	return rc.route(ctx, ident, true, cl, func(c *Client) error {
 		err := c.Watch(ctx, ident, since, func(ev WatchEvent) error {
-			if ferr := fn(ev); ferr != nil {
-				cbFailed = true
-				return ferr
-			}
-			return nil
+			cl.err = fn(ev)
+			return cl.err
 		})
-		if err == nil || cbFailed || ctx.Err() != nil {
-			return err
-		}
-		var se *apiStatusError
-		if errors.As(err, &se) && se.Status != http.StatusServiceUnavailable {
-			return err
-		}
-		rc.ring.ReportFailure(base)
-		lastErr = err
-	}
-	return fmt.Errorf("all members failed watching %q: %w", ident, lastErr)
+		since = 0 // cursors are per-member
+		return err
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"mime"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -223,6 +224,29 @@ func (s *Server) Traces() *obs.TraceBuffer { return s.traces }
 // revalidator so background cycles obey the same rate).
 func (s *Server) Sampler() *obs.Sampler { return s.sampler }
 
+// The side-effecting routes: a request to one queues a sweep job, swaps
+// a snapshot or cancels a job (see ReplaySafe).
+const (
+	routeRefresh   = "POST /v1/models/{model}/refresh"
+	routeSweep     = "POST /v1/models/{model}/sweep"
+	routeJobCancel = "POST /v1/jobs/{id}/cancel"
+)
+
+var sideEffects = http.NewServeMux()
+
+func init() {
+	for _, p := range []string{routeRefresh, routeSweep, routeJobCancel} {
+		sideEffects.Handle(p, http.NotFoundHandler())
+	}
+}
+
+// ReplaySafe reports whether a request may be sent to a second member
+// after a transport error on the first: true but for those routes.
+func ReplaySafe(method, path string) bool {
+	_, pattern := sideEffects.Handler(&http.Request{Method: method, URL: &url.URL{Path: path}})
+	return pattern == ""
+}
+
 func (s *Server) routes() {
 	s.handle("GET /healthz", "healthz", s.handleHealthz)
 	s.handle("GET /v1/models", "models", s.handleModels)
@@ -239,13 +263,13 @@ func (s *Server) routes() {
 	s.handle("GET /v1/models/{model}/transfer", "transfer", s.handleTransfer)
 	s.handle("POST /v1/models/{model}/dispatch", "dispatch", s.handleDispatch)
 	if s.allowRefresh {
-		s.handle("POST /v1/models/{model}/refresh", "refresh", s.handleRefresh)
+		s.handle(routeRefresh, "refresh", s.handleRefresh)
 	}
-	s.handle("POST /v1/models/{model}/sweep", "sweep", s.handleSweep)
+	s.handle(routeSweep, "sweep", s.handleSweep)
 	s.handle("GET /v1/stats/queries", "stats", s.handleQueryStats)
 	s.handle("GET /v1/jobs", "jobs", s.handleJobs)
 	s.handle("GET /v1/jobs/{id}", "job", s.handleJob)
-	s.handle("POST /v1/jobs/{id}/cancel", "jobcancel", s.handleJobCancel)
+	s.handle(routeJobCancel, "jobcancel", s.handleJobCancel)
 	// The watch stream lives outside the handle wrapper: it is a
 	// long-lived connection, so the per-request timeout and the
 	// concurrency limiter (sized for millisecond queries) must not apply.
@@ -473,7 +497,7 @@ func (s *Server) handle(pattern, name string, h handler) {
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) {
 				s.timeouts.Inc()
-				err = &apiError{status: http.StatusServiceUnavailable, msg: "request timed out"}
+				err = &apiError{status: http.StatusGatewayTimeout, msg: "request timed out"}
 			}
 			errMsg = err.Error()
 			s.writeErrorProto(sw, bin, err)

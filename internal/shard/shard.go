@@ -15,7 +15,9 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"sort"
 	"strings"
@@ -78,7 +80,7 @@ type member struct {
 	// fails counts consecutive probe failures (reset on success).
 	fails atomic.Int32
 	// coolUntil holds a unix-nano deadline before which the member is
-	// skipped by Pick/Order front positions — the Retry-After contract:
+	// skipped by Order front positions — the Retry-After contract:
 	// a 503 with Retry-After means "not dead, but do not come back
 	// before this".
 	coolUntil atomic.Int64
@@ -263,16 +265,61 @@ func (r *Ring) Order(ident string) []string {
 	return out
 }
 
-// Pick returns one healthy replica of ident (reads spread across the
-// set), falling back to any healthy member, and finally to the
-// top-scored replica even if down. ok is false only when the ring has
-// no members at all.
-func (r *Ring) Pick(ident string) (string, bool) {
-	order := r.Order(ident)
-	if len(order) == 0 {
-		return "", false
+// Outcome classifies one attempt of a routed request. Each comment gives
+// Route's health report and whether it tries the next member.
+type Outcome int
+
+const (
+	Answered          Outcome = iota // any answer but 503/504: success; stop, it is authoritative
+	Busy                             // 503: cool for Retry-After (capped); next
+	TimedOut                         // 504: no report; stop
+	DialFailed                       // the request never reached the member: down; next
+	Failed                           // other transport error: down; next only if replay-safe
+	FailedAfterOutput                // Failed after bytes reached the caller: down; stop
+	Stopped                          // caller gone, callback error, protocol violation: no report; stop
+)
+
+// maxCooldown caps how long one 503 keeps a member cooling.
+const maxCooldown = 10 * time.Second
+
+// Route sends one request through ident's failover order: try makes
+// one attempt on a member and classifies it, and Route makes the health
+// report and decides whether to try the next member (see Outcome).
+// Side-effecting requests pass replaySafe false. Route returns false
+// when every member was tried and sent the request on.
+func (r *Ring) Route(ident string, replaySafe bool, try func(member string) (out Outcome, retryAfter time.Duration)) bool {
+	for _, m := range r.Order(ident) {
+		out, retryAfter := try(m)
+		switch out {
+		case Answered:
+			r.ReportSuccess(m)
+		case Busy:
+			r.ReportBusy(m, retryAfter)
+		case DialFailed, Failed, FailedAfterOutput:
+			r.ReportFailure(m)
+		}
+		if !(out == Busy || out == DialFailed || out == Failed && replaySafe) {
+			return true
+		}
 	}
-	return order[0], true
+	return false
+}
+
+// Classify maps one HTTP attempt to its Outcome: err is the transport
+// error, if any, and status the answer's code otherwise.
+func Classify(status int, err error) Outcome {
+	var op *net.OpError
+	switch {
+	case errors.As(err, &op) && op.Op == "dial":
+		return DialFailed
+	case err != nil:
+		return Failed
+	case status == http.StatusServiceUnavailable:
+		return Busy
+	case status == http.StatusGatewayTimeout:
+		return TimedOut
+	}
+	return Answered
 }
 
 // ReportFailure records a request-path failure (connect error, reset,
@@ -290,10 +337,10 @@ func (r *Ring) ReportFailure(url string) {
 }
 
 // ReportBusy records a 503 from a member, honoring its Retry-After:
-// the member is not dead, but Pick/Order will not lead with it until
+// the member is not dead, but Order will not lead with it until
 // the cooldown elapses. Counted as a failover (the caller is about to
 // try someone else). A non-positive retryAfter applies a minimal
-// cooldown so an immediate retry storm cannot form.
+// cooldown so an immediate retry storm cannot form; maxCooldown caps it.
 func (r *Ring) ReportBusy(url string, retryAfter time.Duration) {
 	m := r.byURL[strings.TrimRight(url, "/")]
 	if m == nil {
@@ -302,6 +349,7 @@ func (r *Ring) ReportBusy(url string, retryAfter time.Duration) {
 	if retryAfter <= 0 {
 		retryAfter = time.Second
 	}
+	retryAfter = min(retryAfter, maxCooldown)
 	r.failovers.Add(1)
 	mFailovers.Inc()
 	m.coolUntil.Store(r.cfg.now().Add(retryAfter).UnixNano())

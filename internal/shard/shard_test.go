@@ -290,7 +290,7 @@ func TestConcurrentRouting(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if _, ok := r.Pick("anything"); !ok {
-		t.Fatal("Pick found no member")
+	if len(r.Order("anything")) == 0 {
+		t.Fatal("Order found no member")
 	}
 }
