@@ -94,20 +94,20 @@ func BenchmarkSelectIndexed(b *testing.B) {
 
 // bundledSession resolves one of the repository's bundled models
 // through the toolchain — the E17 "real model" comparison point.
-func bundledSession(b *testing.B, system string) *Session {
-	b.Helper()
+func bundledSession(tb testing.TB, system string) *Session {
+	tb.Helper()
 	_, file, _, ok := runtime.Caller(0)
 	if !ok {
-		b.Fatal("caller unknown")
+		tb.Fatal("caller unknown")
 	}
 	models := filepath.Join(filepath.Dir(file), "..", "..", "models")
 	tc, err := core.New(core.Options{SearchPaths: []string{models}})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	res, err := tc.Process(system)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return NewSession(res.Runtime)
 }

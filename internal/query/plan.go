@@ -280,7 +280,7 @@ func (sg *segment) indexed(s *Session) []Elem {
 // elemsOf materializes cursors for preorder node indices, skipping the
 // root: the walker never considers the element a selector starts from.
 func (s *Session) elemsOf(idxs []int32) []Elem {
-	var out []Elem
+	out := make([]Elem, 0, len(idxs))
 	for _, i := range idxs {
 		if i == 0 {
 			continue

@@ -49,6 +49,9 @@ type Session struct {
 
 	idxOnce sync.Once
 	idx     *selIndex
+
+	aggOnce sync.Once
+	agg     *aggregates
 }
 
 // Init loads the runtime model file produced by the XPDL processing
@@ -180,12 +183,15 @@ func (e Elem) Descendants(kind string) []Elem {
 	return out
 }
 
+// walk visits the subtree in preorder; fn returning false skips the
+// element's children. It ranges over child indices, so a walk
+// allocates nothing per visited element.
 func (e Elem) walk(fn func(Elem) bool) {
 	if !fn(e) {
 		return
 	}
-	for _, c := range e.Children() {
-		c.walk(fn)
+	for _, c := range e.node().Children {
+		Elem{s: e.s, idx: c, ok: true}.walk(fn)
 	}
 }
 
@@ -290,18 +296,28 @@ func (e Elem) countKind(kind string) int {
 func (e Elem) NumCUDADevices() int {
 	n := 0
 	e.walk(func(x Elem) bool {
-		if x.Kind() != "device" && x.Kind() != "gpu" {
-			return true
-		}
-		if pm, ok := x.FirstChild("programming_model"); ok {
-			if typ, ok := pm.GetString("type"); ok && strings.Contains(strings.ToLower(typ), "cuda") {
-				n++
-				return false
-			}
+		if advertisesCUDA(e.s.m, x.node()) {
+			n++
+			return false
 		}
 		return true
 	})
 	return n
+}
+
+// advertisesCUDA reports whether n is a device or gpu whose first
+// programming_model child has a type naming CUDA.
+func advertisesCUDA(m *rtmodel.Model, n *rtmodel.Node) bool {
+	if n.Kind != "device" && n.Kind != "gpu" {
+		return false
+	}
+	for _, c := range n.Children {
+		if pm := m.Node(c); pm.Kind == "programming_model" {
+			typ, ok := pm.Attr("type")
+			return ok && strings.Contains(strings.ToLower(typ.Raw), "cuda")
+		}
+	}
+	return false
 }
 
 // TotalStaticPower sums static_power over the subtree (in watts).
@@ -333,68 +349,104 @@ func (e Elem) MinAttr(attr string) (float64, bool) {
 	return best, have
 }
 
-// ---- Software introspection ----
+// ---- Root aggregates ----
+
+// aggregates are the root-level platform figures of one session: what
+// the platform functions of Env and the serving summary answer. They
+// are computed in one preorder walk the first time any is asked for.
+// They depend on attribute values, so unlike the selector indexes they
+// are never shared between sessions (see AdoptIndexes): every model
+// generation computes its own.
+type aggregates struct {
+	cores       int
+	cudaDevices int
+	staticPower float64
+	// software lists the installed and hostOS elements in preorder.
+	software []software
+}
+
+type software struct{ typ, ident string }
+
+func (s *Session) aggs() *aggregates {
+	s.aggOnce.Do(func() {
+		s.agg = &aggregates{}
+		if s.m.Len() > 0 {
+			s.agg.visit(s.m, 0, false, false)
+		}
+	})
+	return s.agg
+}
+
+// visit folds node i and its subtree into a with the walker's rules:
+// cores inside a power domain below the root are member references,
+// not hardware (Elem.NumCores), and a CUDA device's subtree is not
+// searched for further devices (Elem.NumCUDADevices).
+func (a *aggregates) visit(m *rtmodel.Model, i int32, inDomain, inCUDA bool) {
+	n := m.Node(i)
+	if i != 0 && n.Kind == "power_domain" {
+		inDomain = true
+	}
+	if !inDomain && n.Kind == "core" {
+		a.cores++
+	}
+	if !inCUDA && advertisesCUDA(m, n) {
+		a.cudaDevices++
+		inCUDA = true
+	}
+	if v, ok := n.Attr("static_power"); ok && v.HasValue() {
+		a.staticPower += v.Value
+	}
+	if n.Kind == "installed" || n.Kind == "hostOS" {
+		a.software = append(a.software, software{n.Type, n.Ident()})
+	}
+	for _, c := range n.Children {
+		a.visit(m, c, inDomain, inCUDA)
+	}
+}
+
+// NumCores is Root().NumCores(), answered from the session aggregates.
+func (s *Session) NumCores() int { return s.aggs().cores }
+
+// NumCUDADevices is Root().NumCUDADevices(), answered from the session
+// aggregates.
+func (s *Session) NumCUDADevices() int { return s.aggs().cudaDevices }
+
+// TotalStaticPower is Root().TotalStaticPower(), answered from the
+// session aggregates.
+func (s *Session) TotalStaticPower() units.Quantity {
+	return units.Quantity{Value: s.aggs().staticPower, Dim: units.Power}
+}
 
 // Installed reports whether a software package whose type (or id) starts
 // with the given prefix is installed anywhere in the model — the lookup
 // behind conditional composition's library-availability constraints
 // (e.g. Installed("CUBLAS")).
 func (s *Session) Installed(prefix string) bool {
-	root := s.Root()
-	if !root.Valid() {
-		return false
+	for _, sw := range s.aggs().software {
+		if strings.HasPrefix(sw.typ, prefix) || strings.HasPrefix(sw.ident, prefix) {
+			return true
+		}
 	}
-	found := false
-	root.walk(func(x Elem) bool {
-		if found {
-			return false
-		}
-		if x.Kind() == "installed" || x.Kind() == "hostOS" {
-			if strings.HasPrefix(x.TypeName(), prefix) || strings.HasPrefix(x.Ident(), prefix) {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
+	return false
 }
 
 // InstalledList returns the type names of all installed software.
 func (s *Session) InstalledList() []string {
 	var out []string
-	root := s.Root()
-	if !root.Valid() {
-		return nil
-	}
-	root.walk(func(x Elem) bool {
-		if x.Kind() == "installed" || x.Kind() == "hostOS" {
-			if t := x.TypeName(); t != "" {
-				out = append(out, t)
-			} else if id := x.Ident(); id != "" {
-				out = append(out, id)
-			}
+	for _, sw := range s.aggs().software {
+		if sw.typ != "" {
+			out = append(out, sw.typ)
+		} else if sw.ident != "" {
+			out = append(out, sw.ident)
 		}
-		return true
-	})
+	}
 	return out
 }
 
-// HasKind reports whether any element of the given kind exists.
+// HasKind reports whether any element of the given kind exists, the
+// root included.
 func (s *Session) HasKind(kind string) bool {
-	root := s.Root()
-	if !root.Valid() {
-		return false
-	}
-	found := false
-	root.walk(func(x Elem) bool {
-		if x.Kind() == kind {
-			found = true
-			return false
-		}
-		return !found
-	})
-	return found
+	return len(s.indexes().byKind[kind]) > 0
 }
 
 // ---- Expression environment for selectability constraints ----
@@ -409,6 +461,9 @@ func (s *Session) HasKind(kind string) bool {
 //	num_cuda_devices()    — CUDA device count
 //	total_static_power()  — watts, summed over the model
 //	attr('ident','name')  — normalized attribute of a named element
+//
+// All but attr answer from the session's root aggregates and selector
+// indexes, so a call costs a lookup, not a model walk.
 func (s *Session) Env(vars map[string]expr.Value) expr.Env {
 	return platformEnv{s: s, vars: vars}
 }
@@ -436,15 +491,15 @@ func (p platformEnv) Call(name string, args []expr.Value) (expr.Value, error) {
 		}
 	case "num_cores":
 		if len(args) == 0 {
-			return expr.Number(float64(p.s.Root().NumCores())), nil
+			return expr.Number(float64(p.s.NumCores())), nil
 		}
 	case "num_cuda_devices":
 		if len(args) == 0 {
-			return expr.Number(float64(p.s.Root().NumCUDADevices())), nil
+			return expr.Number(float64(p.s.NumCUDADevices())), nil
 		}
 	case "total_static_power":
 		if len(args) == 0 {
-			return expr.Number(p.s.Root().TotalStaticPower().Value), nil
+			return expr.Number(p.s.TotalStaticPower().Value), nil
 		}
 	case "attr":
 		if len(args) == 2 && args[0].Kind == expr.KindString && args[1].Kind == expr.KindString {

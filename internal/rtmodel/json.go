@@ -151,7 +151,7 @@ func (r *jsonRenderer) key(first bool, depth int, name string) {
 		r.buf = append(r.buf, ',')
 	}
 	r.newline(depth)
-	r.buf = appendJSONString(r.buf, name)
+	r.buf = AppendJSONString(r.buf, name)
 	r.buf = append(r.buf, ':', ' ')
 }
 
@@ -164,11 +164,11 @@ func (r *jsonRenderer) node(i int32, depth int) {
 	in := depth + 1
 	r.buf = append(r.buf, '{')
 	r.key(true, in, "kind")
-	r.buf = appendJSONString(r.buf, n.Kind)
+	r.buf = AppendJSONString(r.buf, n.Kind)
 	for _, f := range [...]struct{ name, v string }{{"id", n.ID}, {"name", n.Name}, {"type", n.Type}} {
 		if f.v != "" {
 			r.key(false, in, f.name)
-			r.buf = appendJSONString(r.buf, f.v)
+			r.buf = AppendJSONString(r.buf, f.v)
 		}
 	}
 	if len(n.Attrs) > 0 {
@@ -186,13 +186,13 @@ func (r *jsonRenderer) node(i int32, depth int) {
 			case a.HasValue():
 				r.buf = append(r.buf, '{')
 				r.key(true, in+2, "unit")
-				r.buf = appendJSONString(r.buf, a.Dim.BaseUnit())
+				r.buf = AppendJSONString(r.buf, a.Dim.BaseUnit())
 				r.key(false, in+2, "value")
 				r.buf = appendJSONFloat(r.buf, a.Value)
 				r.newline(in + 1)
 				r.buf = append(r.buf, '}')
 			default:
-				r.buf = appendJSONString(r.buf, a.Raw)
+				r.buf = AppendJSONString(r.buf, a.Raw)
 			}
 		}
 		r.newline(in)
@@ -213,7 +213,7 @@ func (r *jsonRenderer) node(i int32, depth int) {
 			r.kvOrd = mapOrder(r.kvOrd, p.KVs, kvKey)
 			for k, j := range r.kvOrd {
 				r.key(k == 0, in+2, p.KVs[j][0])
-				r.buf = appendJSONString(r.buf, p.KVs[j][1])
+				r.buf = AppendJSONString(r.buf, p.KVs[j][1])
 			}
 			r.newline(in + 1)
 			r.buf = append(r.buf, '}')
@@ -297,12 +297,12 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 
 const hexDigits = "0123456789abcdef"
 
-// appendJSONString appends s as a quoted JSON string escaped the way
+// AppendJSONString appends s as a quoted JSON string escaped the way
 // encoding/json escapes with HTML escaping on: quote and backslash,
 // the short forms \b \f \n \r \t, other control bytes and < > & as
 // \u00XX, U+2028/U+2029 as \u2028/\u2029, and each invalid UTF-8 byte
 // as \ufffd.
-func appendJSONString(dst []byte, s string) []byte {
+func AppendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Wire-format constants. Bump WireVersion only with a decoder that
@@ -87,6 +88,19 @@ func (e *Enc) Reset() {
 	e.Buf = e.Buf[:0]
 	clear(e.tab)
 }
+
+// Grow reserves room for n more bytes and, on an encoder whose intern
+// table is not allocated yet, a table for strs strings, so a message
+// whose size is known up front encodes without regrowing either.
+func (e *Enc) Grow(n, strs int) {
+	e.Buf = slices.Grow(e.Buf, n)
+	if e.tab == nil && strs > 0 {
+		e.tab = make(map[string]uint32, min(strs, MaxInternStrings))
+	}
+}
+
+// Interned returns the number of strings in the intern table.
+func (e *Enc) Interned() int { return len(e.tab) }
 
 // Uvarint appends an unsigned varint.
 func (e *Enc) Uvarint(v uint64) {

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"xpdl/internal/expr"
 	"xpdl/internal/model"
 	"xpdl/internal/rtmodel"
 )
@@ -33,6 +34,13 @@ type allocBudget struct {
 	// ServeSummaryBin bounds a whole binary /summary request — the
 	// pre-serialized path, so it is the floor the stack imposes.
 	ServeSummaryBin float64 `json:"serve_summary_bin"`
+	// ServeSelectJSON bounds a whole JSON /select request, appended
+	// straight into its wire buffer (no encoding/json, no refs slice).
+	ServeSelectJSON float64 `json:"serve_select_json"`
+	// EvalRootAggregate bounds evaluating a constraint over the root
+	// aggregates on XScluster; a platform function that walked the
+	// model would allocate per element (~44k).
+	EvalRootAggregate float64 `json:"eval_root_aggregate"`
 	// ExportRender bounds rendering the XScluster /json export (19.5 MB)
 	// into its buffer presized from the previous generation, as a
 	// publish does: buffer, renderer and binary header, nothing per node.
@@ -80,7 +88,7 @@ func TestBinarySelectAllocBudget(t *testing.T) {
 		resp.encodeTo(e)
 		var hdr [rtmodel.MaxFrameHeader]byte
 		n := rtmodel.PutWireHeader(hdr[:])
-		_ = rtmodel.PutFrameHeader(hdr[n:], resp.frame(), len(e.Buf))
+		_ = rtmodel.PutFrameHeader(hdr[n:], frameSelect, len(e.Buf))
 		putEnc(e)
 	}
 	encodeOnce() // warm the pool and the buffer capacity
@@ -109,6 +117,45 @@ func TestBinarySelectAllocBudget(t *testing.T) {
 	sum()
 	if got := testing.AllocsPerRun(200, sum); got > budget.ServeSummaryBin {
 		t.Errorf("binary summary request: %.1f allocs/op, budget %.0f", got, budget.ServeSummaryBin)
+	}
+}
+
+// TestJSONSelectAndEvalAllocBudget gates the two query paths that
+// answer from per-snapshot state: a JSON select request and a
+// platform-function eval.
+func TestJSONSelectAndEvalAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	budget := readAllocBudget(t)
+	srv, store := newModelServer(t, Config{})
+	sel := func() {
+		req := httptest.NewRequest(http.MethodGet, "/v1/models/myriad_standalone/select?q=%2F%2Fcore", nil)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("JSON select: status %d", rec.Code)
+		}
+	}
+	sel()
+	if got := testing.AllocsPerRun(200, sel); got > budget.ServeSelectJSON {
+		t.Errorf("JSON select request: %.1f allocs/op, budget %.0f", got, budget.ServeSelectJSON)
+	}
+
+	snap, err := store.Get(context.Background(), "XScluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := snap.Session.Env(nil)
+	const src = "installed('CUDA') && num_cores() > 5"
+	eval := func() {
+		if v, err := expr.Eval(src, env); err != nil || !v.Bool {
+			t.Fatalf("eval %s: %v, %v", src, v, err)
+		}
+	}
+	eval()
+	if got := testing.AllocsPerRun(200, eval); got > budget.EvalRootAggregate {
+		t.Errorf("root-aggregate eval: %.1f allocs/op, budget %.0f", got, budget.EvalRootAggregate)
 	}
 }
 

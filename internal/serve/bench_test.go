@@ -108,3 +108,33 @@ func BenchmarkServeBinary(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkServeLargeQuery measures the XScluster (44,161 nodes)
+// answers whose cost once grew with the model: the unlimited //core
+// select (21,544 elements) in both protocols, and platform-function
+// evals that walked the whole tree before the root aggregates.
+func BenchmarkServeLargeQuery(b *testing.B) {
+	srv, _ := newModelServer(b, Config{})
+	const base = "/v1/models/XScluster/"
+	cases := []struct {
+		name, method, target, body string
+		bin                        bool
+	}{
+		{"core-json", http.MethodGet, base + "select?q=%2F%2Fcore", "", false},
+		{"core-bin", http.MethodGet, base + "select?q=%2F%2Fcore", "", true},
+		{"core-limit3-json", http.MethodGet, base + "select?q=%2F%2Fcore&limit=3", "", false},
+		{"eval-num_cores", http.MethodPost, base + "eval", `{"expr": "num_cores()"}`, false},
+		{"eval-installed-cores", http.MethodPost, base + "eval", `{"expr": "installed('CUDA') && num_cores() > 5"}`, false},
+	}
+	for _, c := range cases {
+		c := c
+		b.Run(c.name, func(b *testing.B) {
+			benchProtoDo(b, srv, c.method, c.target, c.body, c.bin)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchProtoDo(b, srv, c.method, c.target, c.body, c.bin)
+			}
+		})
+	}
+}

@@ -158,7 +158,10 @@ func deltaEndpoints(m string) []struct {
 	body           []byte
 } {
 	base := "/v1/models/" + m
-	eval, _ := json.Marshal(EvalRequest{Expr: "num_cores()"})
+	eval := func(src string) []byte {
+		body, _ := json.Marshal(EvalRequest{Expr: src})
+		return body
+	}
 	batch, _ := json.Marshal(BatchRequest{Ops: []BatchOp{
 		{Op: "select", Selector: "//core", Limit: 4},
 		{Op: "eval", Expr: "num_cores()"},
@@ -175,7 +178,14 @@ func deltaEndpoints(m string) []struct {
 		{http.MethodGet, base + "/select?q=//core[1]", nil},
 		{http.MethodGet, base + "/select?q=//*&limit=16", nil},
 		{http.MethodGet, base + "/select?q=//cache", nil},
-		{http.MethodPost, base + "/eval", eval},
+		// Every platform function the per-generation root aggregates
+		// answer, so each static_power mutation checks them against a
+		// full resolve.
+		{http.MethodPost, base + "/eval", eval("num_cores()")},
+		{http.MethodPost, base + "/eval", eval("total_static_power()")},
+		{http.MethodPost, base + "/eval", eval("num_cuda_devices()")},
+		{http.MethodPost, base + "/eval", eval("has_kind('gpu')")},
+		{http.MethodPost, base + "/eval", eval("installed('CUDA')")},
 		{http.MethodPost, base + "/batch", batch},
 	}
 }

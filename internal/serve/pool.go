@@ -17,6 +17,11 @@ import (
 // model JSON export, say) must not pin its buffer forever.
 const maxPooledBuf = 1 << 20
 
+// maxPooledStrings caps the intern table of a pooled encoder: Reset
+// empties a table but keeps its memory, and a 21k-entry table (the
+// paths of an unlimited XScluster //core select) holds megabytes.
+const maxPooledStrings = 1 << 12
+
 var encPool = sync.Pool{New: func() any { return new(rtmodel.Enc) }}
 
 func getEnc() *rtmodel.Enc {
@@ -26,7 +31,7 @@ func getEnc() *rtmodel.Enc {
 }
 
 func putEnc(e *rtmodel.Enc) {
-	if cap(e.Buf) > maxPooledBuf {
+	if cap(e.Buf) > maxPooledBuf || e.Interned() > maxPooledStrings {
 		return
 	}
 	encPool.Put(e)

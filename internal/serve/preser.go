@@ -210,17 +210,19 @@ func nodeAnswerEqual(a, b *rtmodel.Node) bool {
 	return true
 }
 
-// summaryOf computes the derived-analysis roll-up of one snapshot.
+// summaryOf computes the derived-analysis roll-up of one snapshot from
+// the session's root aggregates, the numbers the platform functions of
+// /eval answer too.
 func summaryOf(snap *Snapshot) SummaryResponse {
-	root := snap.Session.Root()
-	installed := snap.Session.InstalledList()
+	s := snap.Session
+	installed := s.InstalledList()
 	if installed == nil {
 		installed = []string{}
 	}
 	return SummaryResponse{
-		Cores:        root.NumCores(),
-		CUDADevices:  root.NumCUDADevices(),
-		StaticPowerW: root.TotalStaticPower().Value,
+		Cores:        s.NumCores(),
+		CUDADevices:  s.NumCUDADevices(),
+		StaticPowerW: s.TotalStaticPower().Value,
 		Installed:    installed,
 	}
 }

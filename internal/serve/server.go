@@ -515,17 +515,33 @@ func (s *Server) handle(pattern, name string, h handler) {
 }
 
 // acceptsBinary reports whether the request negotiated the binary
-// protocol. Only an explicit Accept of the binary media type opts in;
-// absent, */* and application/json all stay on the classic answers, so
-// existing clients keep byte-identical responses.
+// protocol. Only an explicit Accept of the binary media type opts in
+// (in any letter case, with parameters, in a list); absent, */* and
+// application/json all stay on the classic answers, so existing
+// clients keep byte-identical responses. A q=0 entry refuses the type.
 func acceptsBinary(r *http.Request) bool {
 	accept := r.Header.Get("Accept")
-	if !strings.Contains(accept, ContentTypeBinary) {
+	if accept == ContentTypeBinary {
+		return true // fast path: the exact header binary clients send
+	}
+	if !containsFold(accept, ContentTypeBinary) {
 		return false // fast path: no substring, no parse
 	}
 	for _, part := range strings.Split(accept, ",") {
-		mt, _, err := mime.ParseMediaType(strings.TrimSpace(part))
+		mt, params, err := mime.ParseMediaType(strings.TrimSpace(part))
 		if err == nil && mt == ContentTypeBinary {
+			q, err := strconv.ParseFloat(params["q"], 64)
+			return err != nil || q > 0
+		}
+	}
+	return false
+}
+
+// containsFold reports whether s contains substr under ASCII case
+// folding, without allocating.
+func containsFold(s, substr string) bool {
+	for i := 0; i+len(substr) <= len(s); i++ {
+		if strings.EqualFold(s[i:i+len(substr)], substr) {
 			return true
 		}
 	}
@@ -536,6 +552,10 @@ func acceptsBinary(r *http.Request) bool {
 // the client asked for one and the payload has a binary form, the
 // classic JSON rendering otherwise.
 func (s *Server) writeAPI(w http.ResponseWriter, bin bool, status int, v any) {
+	if sel, ok := v.(selection); ok {
+		s.writeSelection(w, bin, sel)
+		return
+	}
 	if bin {
 		if m, ok := binaryMessageOf(v); ok {
 			s.writeBinary(w, status, m)
@@ -546,35 +566,26 @@ func (s *Server) writeAPI(w http.ResponseWriter, bin bool, status int, v any) {
 	s.writeJSON(w, status, v)
 }
 
-// writeBinary writes one binary envelope from a pooled encoder. The
-// stack-array header and the pooled payload go out as two Writes, so
-// nothing is copied; ResponseWriter.Write never retains its argument,
-// which is what makes recycling the encoder safe.
+// writeBinary writes one binary envelope from a pooled encoder.
 func (s *Server) writeBinary(w http.ResponseWriter, status int, m binaryMessage) {
 	e := getEnc()
 	m.encodeTo(e)
-	var hdr [rtmodel.MaxFrameHeader]byte
-	n := rtmodel.PutWireHeader(hdr[:])
-	n += rtmodel.PutFrameHeader(hdr[n:], m.frame(), len(e.Buf))
-	mProtoBin.Inc()
-	s.countStatus(status)
-	w.Header().Set("Content-Type", ContentTypeBinary)
-	w.WriteHeader(status)
-	_, _ = w.Write(hdr[:n])
-	_, _ = w.Write(e.Buf)
+	s.writeFrame(w, status, m.frame(), e.Buf)
 	putEnc(e)
 }
 
-// writeRawBinary writes a byte-stream answer (tree, JSON export) as a
-// raw binary frame.
-func (s *Server) writeRawBinary(w http.ResponseWriter, t rtmodel.FrameType, payload []byte) {
+// writeFrame writes one binary envelope around an encoded payload. The
+// stack-array header and the payload go out as two Writes, so nothing
+// is copied; ResponseWriter.Write never retains its argument, which is
+// what makes recycling the payload's encoder safe.
+func (s *Server) writeFrame(w http.ResponseWriter, status int, t rtmodel.FrameType, payload []byte) {
 	var hdr [rtmodel.MaxFrameHeader]byte
 	n := rtmodel.PutWireHeader(hdr[:])
 	n += rtmodel.PutFrameHeader(hdr[n:], t, len(payload))
 	mProtoBin.Inc()
-	s.countStatus(http.StatusOK)
+	s.countStatus(status)
 	w.Header().Set("Content-Type", ContentTypeBinary)
-	w.WriteHeader(http.StatusOK)
+	w.WriteHeader(status)
 	_, _ = w.Write(hdr[:n])
 	_, _ = w.Write(payload)
 }
@@ -707,7 +718,7 @@ func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) (any, error)
 	if bin {
 		buf := getBuf()
 		_ = WriteTree(buf, snap.Session.Root())
-		s.writeRawBinary(w, frameRawTree, buf.Bytes())
+		s.writeFrame(w, http.StatusOK, frameRawTree, buf.Bytes())
 		putBuf(buf)
 		return nil, nil
 	}
@@ -731,7 +742,7 @@ func (s *Server) handleJSON(w http.ResponseWriter, r *http.Request) (any, error)
 	if bin {
 		buf := getBuf()
 		_ = snap.Session.Model().WriteJSON(buf)
-		s.writeRawBinary(w, frameRawJSON, buf.Bytes())
+		s.writeFrame(w, http.StatusOK, frameRawJSON, buf.Bytes())
 		putBuf(buf)
 		return nil, nil
 	}
@@ -789,12 +800,14 @@ func checkSelector(sel string) error {
 	return nil
 }
 
-func (s *Server) runSelect(acc *reqAcc, snap *Snapshot, sel string, limit int) (SelectResponse, error) {
+// runSelect evaluates a selector against the snapshot. Count is the
+// total number of matches; the elements stop at limit (0: no limit).
+func (s *Server) runSelect(acc *reqAcc, snap *Snapshot, sel string, limit int) (selection, error) {
 	if err := checkSelector(sel); err != nil {
-		return SelectResponse{}, err
+		return selection{}, err
 	}
 	if limit < 0 || limit > maxSelectLimit {
-		return SelectResponse{}, badRequest("limit must be in [0, %d]", maxSelectLimit)
+		return selection{}, badRequest("limit must be in [0, %d]", maxSelectLimit)
 	}
 	if acc != nil {
 		// The plan is (or is about to be) resident in the default plan
@@ -806,16 +819,13 @@ func (s *Server) runSelect(acc *reqAcc, snap *Snapshot, sel string, limit int) (
 	}
 	elems, err := snap.Session.Select(sel)
 	if err != nil {
-		return SelectResponse{}, badRequest("selector: %v", err)
+		return selection{}, badRequest("selector: %v", err)
 	}
-	resp := SelectResponse{Count: len(elems), Elements: []ElementRef{}}
+	out := selection{count: len(elems), elems: elems}
 	if limit > 0 && len(elems) > limit {
-		elems = elems[:limit]
+		out.elems = elems[:limit]
 	}
-	for _, e := range elems {
-		resp.Elements = append(resp.Elements, refOf(e))
-	}
-	return resp, nil
+	return out, nil
 }
 
 func (s *Server) handleSelectGet(w http.ResponseWriter, r *http.Request) (any, error) {
@@ -928,8 +938,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) (any, error
 			if err != nil {
 				res.Error = err.Error()
 			} else {
-				res.Select = &sel
-				rows = int64(sel.Count)
+				resp := sel.response()
+				res.Select = &resp
+				rows = int64(sel.count)
 			}
 		case "eval":
 			ev, err := s.runEval(snap, EvalRequest{Expr: op.Expr, Vars: op.Vars})

@@ -410,3 +410,44 @@ func TestServerConcurrencyLimiter(t *testing.T) {
 		t.Fatalf("no request was shed: %d, %d", a, b)
 	}
 }
+
+// TestAcceptsBinary is the content-negotiation table: the exact binary
+// media type opts in on the fast path; parameters, letter case and
+// lists go through the parser; everything else stays classic.
+func TestAcceptsBinary(t *testing.T) {
+	cases := []struct {
+		accept string
+		want   bool
+	}{
+		{"", false},
+		{ContentTypeBinary, true},
+		{"application/x-xpdl-bin; charset=binary", true},
+		{"Application/X-Xpdl-Bin", true},
+		{"APPLICATION/X-XPDL-BIN;q=0.5", true},
+		{"application/x-xpdl-bin;q=1", true},
+		{"application/x-xpdl-bin;q=0", false},
+		{"application/x-xpdl-bin;q=0.0", false},
+		{"application/json, application/x-xpdl-bin", true},
+		{"application/json;q=0.9,  application/x-xpdl-bin;q=0.1", true},
+		{"application/json", false},
+		{"*/*", false},
+		{"application/*", false},
+		{"application/x-xpdl-binary", false},
+		{"text/plain; note=\"application/x-xpdl-bin\"", false},
+	}
+	for _, c := range cases {
+		req := httptest.NewRequest(http.MethodGet, "/", nil)
+		if c.accept != "" {
+			req.Header.Set("Accept", c.accept)
+		}
+		if got := acceptsBinary(req); got != c.want {
+			t.Errorf("Accept %q: acceptsBinary %v, want %v", c.accept, got, c.want)
+		}
+	}
+
+	req := httptest.NewRequest(http.MethodGet, "/", nil)
+	req.Header.Set("Accept", ContentTypeBinary)
+	if got := testing.AllocsPerRun(100, func() { acceptsBinary(req) }); got != 0 {
+		t.Fatalf("exact binary Accept: %.1f allocs/op, want 0", got)
+	}
+}

@@ -93,8 +93,8 @@ func (s *Server) recordStats(r *http.Request, name string, bin bool, acc *reqAcc
 // rowsOf derives the "rows returned" figure from a handler payload.
 func rowsOf(payload any) int64 {
 	switch p := payload.(type) {
-	case SelectResponse:
-		return int64(p.Count)
+	case selection:
+		return int64(p.count)
 	case EvalResponse:
 		return 1
 	case BatchResponse:
